@@ -1,4 +1,4 @@
-//! Continent-scale benchmark: the sharded grid index and the rect-bounded
+//! Continent-scale benchmark: the flat grid index and the rect-bounded
 //! prepare phase at 1M+ nodes — the tier where prepare and solve costs
 //! actually compete and the PR 3–5 solve wins become credible.
 //!
@@ -7,14 +7,14 @@
 //! `LCMSR_BENCH_OUT`) that CI archives.  Over an NY-like network at
 //! `LCMSR_SCALE` (CI's `scale-smoke` job runs `huge`, ~1M nodes) it measures:
 //!
-//! * **index build** — `ObjectCollection::build_with_workers` at 1 worker vs
-//!   `LCMSR_SCALE_WORKERS` (default 4): the lock-per-shard parallel grid fill
-//!   against the sequential insert loop, same vocabulary, same postings;
-//! * **prepare** — `LcmsrEngine::prepare_with` at 1 prepare worker vs the
-//!   parallel fan-out (sharded scoring + row-banded `RegionView`), per query,
-//!   with the grid-score/graph-build split from `PrepareBreakdown`;
+//! * **index build** — one `ObjectCollection::build` (vocabulary, counting-
+//!   sort grid, node mapping) over the dataset's objects;
+//! * **prepare** — `LcmsrEngine::prepare_with` at 1 prepare worker vs
+//!   `LCMSR_SCALE_WORKERS` (default 4; row-banded scoring + row-banded
+//!   `RegionView`), per query, with the grid-score/graph-build split from
+//!   `PrepareBreakdown`;
 //! * **peak prepare RSS** — `VmHWM` deltas around each prepare pass (peak is
-//!   reset via `/proc/self/clear_refs` where the kernel allows it);
+//!   reset via `/proc/self/clear_refs`; `null` where the kernel refuses);
 //! * **scratch locality** — the prepare scratch (`member_table_len`) must
 //!   stay within the widest query rect's member-id band (the epoch table is
 //!   offset-rebased at the smallest member id), never the network size.
@@ -30,18 +30,32 @@ use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 use lcmsr_geotext::collection::ObjectCollection;
 
-/// Peak resident set (`VmHWM`) in KiB, when the platform exposes it.
-fn peak_rss_kib() -> Option<u64> {
+/// A `/proc/self/status` memory field (`VmHWM`, `VmRSS`) in KiB, when the
+/// platform exposes it.
+fn status_kib(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Resets the peak-RSS watermark so the next [`peak_rss_kib`] reading covers
-/// only the work in between.  Best-effort: a kernel that rejects the write
-/// leaves the watermark monotone, which only ever over-reports the peak.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
+/// Resets the peak-RSS watermark (`VmHWM`) so a later reading covers only
+/// the work in between; returns the watermark to subtract, or `None` when
+/// the kernel refused the reset (the watermark still sits above the current
+/// RSS, so a delta would read 0 whatever the pass used).
+fn reset_peak_rss() -> Option<u64> {
+    std::fs::write("/proc/self/clear_refs", "5").ok()?;
+    let peak = status_kib("VmHWM:")?;
+    (peak <= status_kib("VmRSS:")?).then_some(peak)
+}
+
+/// Peak-RSS growth since `floor` (from [`reset_peak_rss`]), in KiB.
+fn peak_since(floor: Option<u64>) -> Option<u64> {
+    Some(status_kib("VmHWM:")?.saturating_sub(floor?))
+}
+
+/// A KiB figure as JSON, `null` when unmeasured.
+fn kib_json(kib: Option<u64>) -> String {
+    kib.map_or_else(|| "null".to_string(), |k| k.to_string())
 }
 
 /// Per-node (global id, weight bits, scaled weight) in CSR order plus
@@ -91,40 +105,16 @@ fn main() {
         dataset.network.edge_count()
     );
 
-    // -- index build: sequential insert loop vs lock-per-shard parallel fill --
-    // Both paths re-clone the object set inside the timed closure, so the
-    // clone overhead cancels in the ratio.
+    // -- index build: one sequential build, timed around a fresh object copy --
     let objects = dataset.collection.objects().to_vec();
     let cell_size = dataset.config.cell_size;
-    let build_seq = best_secs(build_rounds, || {
-        let built =
-            ObjectCollection::build_with_workers(&dataset.network, objects.clone(), cell_size, 1)
-                .expect("sequential build");
+    let build_secs = best_secs(build_rounds, || {
+        let built = ObjectCollection::build(&dataset.network, objects.clone(), cell_size)
+            .expect("index build");
         assert_eq!(built.len(), object_count);
+        assert_eq!(built.keyword_count(), dataset.collection.keyword_count());
     });
-    let mut parallel_collection = None;
-    let build_par = best_secs(build_rounds, || {
-        let built = ObjectCollection::build_with_workers(
-            &dataset.network,
-            objects.clone(),
-            cell_size,
-            workers,
-        )
-        .expect("parallel build");
-        parallel_collection = Some(built);
-    });
-    let build_speedup = build_seq / build_par.max(1e-12);
     drop(objects);
-    // The parallel build must index identically: same postings mass per node
-    // on a full-extent probe (the dedicated grid/collection tests cover the
-    // per-shard bit-identity; this guards the huge-scale instantiation).
-    let parallel_collection = parallel_collection.expect("parallel build ran");
-    assert_eq!(parallel_collection.len(), object_count);
-    assert_eq!(
-        parallel_collection.keyword_count(),
-        dataset.collection.keyword_count()
-    );
-    drop(parallel_collection);
 
     // -- prepare: sequential vs parallel fan-out ------------------------------
     let params = dataset.default_query_params(2026);
@@ -193,12 +183,11 @@ fn main() {
     let mut seq_secs = 0.0;
     let mut par_secs = 0.0;
     let mut speedup = 0.0;
-    let mut seq_peak_kib = 0u64;
-    let mut par_peak_kib = 0u64;
+    let mut seq_peak_kib = None;
+    let mut par_peak_kib = None;
     for attempt in 0..2 {
         engine.set_prepare_workers(1);
-        reset_peak_rss();
-        let rss_floor = peak_rss_kib().unwrap_or(0);
+        let rss_floor = reset_peak_rss();
         seq_secs = best_secs(rounds, || {
             for q in &queries {
                 let g = engine
@@ -207,10 +196,9 @@ fn main() {
                 engine.release(&mut workspace, g);
             }
         }) / queries.len() as f64;
-        seq_peak_kib = peak_rss_kib().unwrap_or(0).saturating_sub(rss_floor);
+        seq_peak_kib = peak_since(rss_floor);
         engine.set_prepare_workers(workers);
-        reset_peak_rss();
-        let rss_floor = peak_rss_kib().unwrap_or(0);
+        let rss_floor = reset_peak_rss();
         par_secs = best_secs(rounds, || {
             for q in &queries {
                 let g = engine
@@ -219,7 +207,7 @@ fn main() {
                 engine.release(&mut workspace, g);
             }
         }) / queries.len() as f64;
-        par_peak_kib = peak_rss_kib().unwrap_or(0).saturating_sub(rss_floor);
+        par_peak_kib = peak_since(rss_floor);
         speedup = seq_secs / par_secs.max(1e-12);
         if !strict || speedup >= min_speedup || cpus < workers {
             break;
@@ -246,9 +234,7 @@ fn main() {
         "scale (scale {scale:?}, {} queries, {workers} workers, {cpus} CPUs)",
         queries.len()
     );
-    println!(
-        "  index build     : {build_seq:>10.2} s sequential, {build_par:.2} s at {workers} workers  ({build_speedup:.2}x)"
-    );
+    println!("  index build     : {build_secs:>10.2} s");
     println!("  prepare seq     : {:>10.1} µs/query", seq_secs * 1e6);
     println!(
         "  prepare par({workers})  : {:>10.1} µs/query  ({speedup:.2}x)",
@@ -260,9 +246,9 @@ fn main() {
         graph_build_secs * 1e6
     );
     println!(
-        "  peak prepare RSS: {:>10.1} MiB sequential, {:.1} MiB parallel",
-        seq_peak_kib as f64 / 1024.0,
-        par_peak_kib as f64 / 1024.0
+        "  peak prepare RSS: {:>10} KiB sequential, {} KiB parallel",
+        kib_json(seq_peak_kib),
+        kib_json(par_peak_kib)
     );
     println!(
         "  scratch         : {member_table_len} member-table entries for ≤ {rect_nodes} rect nodes \
@@ -301,13 +287,15 @@ fn main() {
     let out_path =
         std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"scale\": \"{scale:?}\",\n  \"nodes\": {node_count},\n  \"edges\": {},\n  \"objects\": {object_count},\n  \"queries\": {},\n  \"workers\": {workers},\n  \"cpus\": {cpus},\n  \"dataset_build_s\": {gen_secs:.3},\n  \"index_build_seq_s\": {build_seq:.3},\n  \"index_build_par_s\": {build_par:.3},\n  \"index_build_speedup\": {build_speedup:.4},\n  \"prepare_seq_us_per_query\": {:.3},\n  \"prepare_par_us_per_query\": {:.3},\n  \"prepare_speedup\": {speedup:.4},\n  \"grid_score_us_per_query\": {:.3},\n  \"graph_build_us_per_query\": {:.3},\n  \"prepare_peak_rss_seq_kib\": {seq_peak_kib},\n  \"prepare_peak_rss_par_kib\": {par_peak_kib},\n  \"member_table_len\": {member_table_len},\n  \"max_rect_nodes\": {rect_nodes},\n  \"max_rect_id_band\": {rect_id_band},\n  \"scratch_vs_network\": {scratch_ratio:.6},\n  \"identical_results\": {identical}\n}}\n",
+        "{{\n  \"bench\": \"scale\",\n  \"scale\": \"{scale:?}\",\n  \"nodes\": {node_count},\n  \"edges\": {},\n  \"objects\": {object_count},\n  \"queries\": {},\n  \"workers\": {workers},\n  \"cpus\": {cpus},\n  \"dataset_build_s\": {gen_secs:.3},\n  \"index_build_s\": {build_secs:.3},\n  \"prepare_seq_us_per_query\": {:.3},\n  \"prepare_par_us_per_query\": {:.3},\n  \"prepare_speedup\": {speedup:.4},\n  \"grid_score_us_per_query\": {:.3},\n  \"graph_build_us_per_query\": {:.3},\n  \"prepare_peak_rss_seq_kib\": {},\n  \"prepare_peak_rss_par_kib\": {},\n  \"member_table_len\": {member_table_len},\n  \"max_rect_nodes\": {rect_nodes},\n  \"max_rect_id_band\": {rect_id_band},\n  \"scratch_vs_network\": {scratch_ratio:.6},\n  \"identical_results\": {identical}\n}}\n",
         dataset.network.edge_count(),
         queries.len(),
         seq_secs * 1e6,
         par_secs * 1e6,
         grid_score_secs * 1e6,
         graph_build_secs * 1e6,
+        kib_json(seq_peak_kib),
+        kib_json(par_peak_kib),
     );
     std::fs::write(&out_path, json).expect("write BENCH_scale.json");
     println!("  wrote {out_path}");

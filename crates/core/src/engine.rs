@@ -607,7 +607,7 @@ pub struct LcmsrEngine<'a> {
     pool: WorkspacePool,
     /// Threads the prepare phase may fan grid scoring and `Q.Λ` extraction
     /// out across.  1 = fully sequential; any value yields bit-identical
-    /// results (sharded scoring and banded gathering merge deterministically).
+    /// results (banded scoring and gathering merge deterministically).
     prepare_workers: AtomicUsize,
     /// Completed responses keyed by canonical request fingerprints, consulted
     /// by cache-mode requests ([`QueryOptions::cache`]).
@@ -1245,30 +1245,30 @@ impl<'a> LcmsrEngine<'a> {
         if weights.by_object.is_empty() {
             return Ok(None);
         }
-        // Weighted points of the relevant objects.
-        let mut ids: Vec<ObjectId> = weights.by_object.keys().copied().collect();
-        ids.sort_unstable();
-        let points: Vec<(lcmsr_roadnet::geo::Point, f64)> = ids
+        // Weighted points of the relevant objects, ascending by id.
+        let points: Vec<(lcmsr_roadnet::geo::Point, f64)> = weights
+            .by_object
             .iter()
-            .map(|id| {
-                let o = self.collection.object(*id).expect("scored object exists");
-                (o.point, weights.by_object[id])
+            .map(|&(id, score)| {
+                let o = self.collection.object(id).expect("scored object exists");
+                (o.point, score)
             })
             .collect();
         let Some(result) = max_range_sum(&points, width, height) else {
             return Ok(None);
         };
-        let objects: Vec<ObjectId> = result.covered.iter().map(|&i| ids[i]).collect();
+        let objects: Vec<ObjectId> = result
+            .covered
+            .iter()
+            .map(|&i| weights.by_object[i].0)
+            .collect();
         let mut nodes: Vec<NodeId> = objects
             .iter()
             .filter_map(|&o| self.collection.node_of(o))
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
-        let weight: f64 = objects
-            .iter()
-            .map(|o| weights.by_object.get(o).copied().unwrap_or(0.0))
-            .sum();
+        let weight: f64 = result.covered.iter().map(|&i| weights.by_object[i].1).sum();
         let (connecting_length, connected) = self.connecting_length(query, &nodes);
         Ok(Some(MaxRsRegion {
             result,
@@ -2023,10 +2023,8 @@ mod tests {
         b.add_edge(a, c, 10.0).unwrap();
         b.add_edge(c, d, 1.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.3);
-        weights.by_node.insert(NodeId(1), 0.16);
-        weights.by_node.insert(NodeId(2), 0.16);
+        let weights =
+            NodeWeights::from_nodes([(NodeId(0), 0.3), (NodeId(1), 0.16), (NodeId(2), 0.16)]);
         let view = RegionView::whole(&network);
         let alpha = Algorithm::Exact.alpha();
         let qg = QueryGraph::build(&view, &weights, 5.0, alpha).unwrap();

@@ -362,11 +362,14 @@ impl QueryGraphBuilder {
         qg.node_ids.extend_from_slice(view.nodes());
         qg.node_points
             .extend(qg.node_ids.iter().map(|&id| graph.point(id)));
-        qg.weights.extend(
-            qg.node_ids
-                .iter()
-                .map(|&id| node_weights.weight(id).max(0.0)),
-        );
+        // Both lists ascend by node id: one merge-join pass.
+        let mut scored = node_weights.by_node.iter().peekable();
+        qg.weights.extend(qg.node_ids.iter().map(|&id| {
+            while scored.next_if(|&&(n, _)| n < id).is_some() {}
+            scored
+                .next_if(|&&(n, _)| n == id)
+                .map_or(0.0, |&(_, w)| w.max(0.0))
+        }));
         qg.sigma_max = qg.weights.iter().fold(0.0f64, |a, &b| a.max(b));
         qg.delta = delta;
 
@@ -469,11 +472,13 @@ pub(crate) mod test_support {
         b.add_edge(v2, v6, 1.6).unwrap();
         b.add_edge(v3, v5, 3.4).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
         let values = [0.2, 0.2, 0.4, 0.4, 0.3, 0.2];
-        for (i, &w) in values.iter().enumerate() {
-            weights.by_node.insert(NodeId(i as u32), w);
-        }
+        let weights = NodeWeights::from_nodes(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (NodeId(i as u32), w)),
+        );
         (network, weights)
     }
 

@@ -1,13 +1,13 @@
 //! [`ObjectCollection`]: the assembled geo-textual data set.
 //!
 //! A collection owns the objects, the corpus vocabulary, the spatial grid
-//! index with per-cell inverted lists, and the object→road-node mapping.  It is
+//! index with per-cell term runs, and the object→road-node mapping.  It is
 //! the query-time entry point that turns a set of query keywords plus a region
 //! of interest into *node weights* — the `σ_v` values the LCMSR algorithms
 //! consume.
 
 use crate::error::Result;
-use crate::grid::{CellId, GridIndex, DEFAULT_SHARD_COUNT};
+use crate::grid::{Cover, GridIndex};
 use crate::mapping::map_points_to_nodes;
 use crate::object::{GeoTextObject, ObjectId};
 use crate::vocab::{TermId, Vocabulary};
@@ -24,21 +24,63 @@ pub const DEFAULT_CELL_SIZE: f64 = 500.0;
 /// with per-object scores for inspection.
 #[derive(Debug, Clone, Default)]
 pub struct NodeWeights {
-    /// Relevance weight per node; only nodes with a positive weight appear.
-    pub by_node: BTreeMap<NodeId, f64>,
-    /// Relevance score per matching object.
-    pub by_object: BTreeMap<ObjectId, f64>,
+    /// Relevance weight per node, ascending by node; only nodes with a
+    /// positive weight appear.
+    pub by_node: Vec<(NodeId, f64)>,
+    /// Relevance score per matching object, ascending by object id.
+    pub by_object: Vec<(ObjectId, f64)>,
+    /// Scoring scratch, bounded by the query rectangle's cell cover.
+    scratch: ScoreScratch,
+}
+
+/// Reusable buffers of one scoring pass.
+#[derive(Debug, Clone, Default)]
+struct ScoreScratch {
+    /// Partial scores of the current cell's objects, by cell-local slot.
+    cell: Vec<f64>,
+    /// Objects kept so far; empty between passes.
+    hits: Vec<Hit>,
+}
+
+/// One object that scored inside the query rectangle.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    id: ObjectId,
+    node: NodeId,
+    score: f64,
 }
 
 impl NodeWeights {
+    /// Weights given directly per node (test fixtures, alternative scorers).
+    /// A node listed twice keeps its first weight.
+    pub fn from_nodes(nodes: impl IntoIterator<Item = (NodeId, f64)>) -> Self {
+        let mut by_node: Vec<(NodeId, f64)> = nodes.into_iter().collect();
+        by_node.sort_by_key(|&(n, _)| n);
+        by_node.dedup_by_key(|&mut (n, _)| n);
+        NodeWeights {
+            by_node,
+            ..Self::default()
+        }
+    }
+
     /// Weight of a node (0 if it hosts no relevant object).
     pub fn weight(&self, node: NodeId) -> f64 {
-        self.by_node.get(&node).copied().unwrap_or(0.0)
+        self.by_node
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .map_or(0.0, |i| self.by_node[i].1)
+    }
+
+    /// Score of an object, if it is relevant.
+    pub fn object_score(&self, object: ObjectId) -> Option<f64> {
+        self.by_object
+            .binary_search_by_key(&object, |&(o, _)| o)
+            .ok()
+            .map(|i| self.by_object[i].1)
     }
 
     /// The largest node weight (`σ_max`), or 0 when no node is relevant.
     pub fn max_weight(&self) -> f64 {
-        self.by_node.values().fold(0.0f64, |a, &b| a.max(b))
+        self.by_node.iter().fold(0.0f64, |a, &(_, b)| a.max(b))
     }
 
     /// Number of nodes with a positive weight.
@@ -48,7 +90,7 @@ impl NodeWeights {
 
     /// Total weight over all relevant nodes.
     pub fn total_weight(&self) -> f64 {
-        self.by_node.values().sum()
+        self.by_node.iter().map(|&(_, w)| w).sum()
     }
 
     /// Whether no node is relevant to the query.
@@ -67,58 +109,27 @@ pub struct ObjectCollection {
     object_nodes: Vec<NodeId>,
     /// Objects hosted by each node.
     node_objects: BTreeMap<NodeId, Vec<ObjectId>>,
-    /// Position of each object id in `objects` (ids need not be dense).
-    object_index: BTreeMap<ObjectId, usize>,
+    /// `(id, position in objects)`, ascending by id (ids need not be dense).
+    by_id: Vec<(ObjectId, u32)>,
 }
 
 impl ObjectCollection {
-    /// Builds a collection: registers every object in the vocabulary, inserts
-    /// it into the grid index, and maps it to its nearest road-network node.
+    /// Builds a collection: registers every object in the vocabulary, indexes
+    /// it in the grid, and maps it to its nearest road-network node.
     ///
     /// Objects with empty descriptions or locations outside the network's
     /// bounding box (expanded by one cell) are skipped rather than rejected, so
-    /// noisy synthetic or crawled data does not abort the build; the number of
-    /// skipped objects is available via [`ObjectCollection::skipped_objects`].
+    /// noisy synthetic or crawled data does not abort the build.  Object ids
+    /// are expected to be distinct.
     pub fn build(
         network: &RoadNetwork,
         objects: Vec<GeoTextObject>,
         cell_size: f64,
     ) -> Result<Self> {
-        Self::build_with_workers(network, objects, cell_size, 1)
-    }
-
-    /// Like [`ObjectCollection::build`], filling the grid's column-band shards
-    /// on up to `workers` scoped threads.  The vocabulary is registered by a
-    /// sequential pass first (term ids depend on encounter order), then the
-    /// shards — disjoint by construction — are indexed concurrently against
-    /// the now-read-only vocabulary.  The resulting collection is
-    /// bit-identical to a single-threaded build.
-    pub fn build_with_workers(
-        network: &RoadNetwork,
-        objects: Vec<GeoTextObject>,
-        cell_size: f64,
-        workers: usize,
-    ) -> Result<Self> {
-        Self::build_sharded(network, objects, cell_size, DEFAULT_SHARD_COUNT, workers)
-    }
-
-    /// Like [`ObjectCollection::build_with_workers`], with an explicit grid
-    /// shard count.  Sharding is a layout detail: every shard count produces
-    /// bit-identical postings and scores (each object lives in exactly one
-    /// cell, so per-shard score maps are key-disjoint and merge exactly);
-    /// `tests/sharded_prepare.rs` holds this property under proptest.
-    pub fn build_sharded(
-        network: &RoadNetwork,
-        objects: Vec<GeoTextObject>,
-        cell_size: f64,
-        shard_count: usize,
-        workers: usize,
-    ) -> Result<Self> {
         let extent = network
             .bounding_rect()
             .unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0))
             .expanded(cell_size.max(1.0));
-        let mut grid = GridIndex::new_sharded(extent, cell_size, shard_count)?;
         let mut vocabulary = Vocabulary::new();
         let mut kept: Vec<GeoTextObject> = Vec::with_capacity(objects.len());
         for o in objects {
@@ -128,7 +139,7 @@ impl ObjectCollection {
             vocabulary.register_document(o.terms.keys().map(String::as_str));
             kept.push(o);
         }
-        grid.bulk_insert_preinterned(&vocabulary, &kept, workers)?;
+        let grid = GridIndex::build(extent, cell_size, &vocabulary, &kept)?;
         let points: Vec<_> = kept.iter().map(|o| o.point).collect();
         let object_nodes = if kept.is_empty() {
             Vec::new()
@@ -136,18 +147,22 @@ impl ObjectCollection {
             map_points_to_nodes(network, &points)
         };
         let mut node_objects: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        let mut object_index = BTreeMap::new();
-        for (i, o) in kept.iter().enumerate() {
-            object_index.insert(o.id, i);
-            node_objects.entry(object_nodes[i]).or_default().push(o.id);
+        for (o, &node) in kept.iter().zip(&object_nodes) {
+            node_objects.entry(node).or_default().push(o.id);
         }
+        let mut by_id: Vec<(ObjectId, u32)> = kept
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.id, i as u32))
+            .collect();
+        by_id.sort_unstable();
         Ok(ObjectCollection {
             objects: kept,
             vocabulary,
             grid,
             object_nodes,
             node_objects,
-            object_index,
+            by_id,
         })
     }
 
@@ -186,11 +201,23 @@ impl ObjectCollection {
         self.vocabulary.len()
     }
 
+    /// Position of an object in [`ObjectCollection::objects`].
+    fn index_of(&self, object: ObjectId) -> Option<usize> {
+        // Generated data sets number objects by position: try that first,
+        // it saves a cache-missing binary search per delta-prepare survivor.
+        let guess = object.index();
+        if self.objects.get(guess).is_some_and(|o| o.id == object) {
+            return Some(guess);
+        }
+        self.by_id
+            .binary_search_by_key(&object, |&(o, _)| o)
+            .ok()
+            .map(|i| self.by_id[i].1 as usize)
+    }
+
     /// The node an object is mapped to, if the object exists.
     pub fn node_of(&self, object: ObjectId) -> Option<NodeId> {
-        self.object_index
-            .get(&object)
-            .map(|&i| self.object_nodes[i])
+        self.index_of(object).map(|i| self.object_nodes[i])
     }
 
     /// Objects hosted by a node.
@@ -200,7 +227,7 @@ impl ObjectCollection {
 
     /// An object by id.
     pub fn object(&self, id: ObjectId) -> Option<&GeoTextObject> {
-        self.object_index.get(&id).map(|&i| &self.objects[i])
+        self.index_of(id).map(|i| &self.objects[i])
     }
 
     /// Builds the query vector for a set of keywords against this corpus.
@@ -212,7 +239,7 @@ impl ObjectCollection {
     /// the region of interest `Q.Λ` given by `rect`.
     ///
     /// Implementation follows the paper: the grid index retrieves the postings
-    /// lists for the query keywords from the cells intersecting the rectangle
+    /// of the query keywords from the cells intersecting the rectangle
     /// (Equation 2), per-object scores are normalised by the query norm, objects
     /// outside the rectangle are discarded, and each object's score is added to
     /// the node it is mapped to.
@@ -223,17 +250,15 @@ impl ObjectCollection {
     }
 
     /// Like [`ObjectCollection::node_weights`], but writes into a caller-owned
-    /// [`NodeWeights`].  Batched query engines
-    /// score thousands of queries against the same collection; recycling the
-    /// output avoids rebuilding both maps from scratch every time.
+    /// [`NodeWeights`] whose buffers and scratch are reused.
     pub fn node_weights_into(&self, query: &QueryVector, rect: &Rect, out: &mut NodeWeights) {
         self.node_weights_into_with_workers(query, rect, out, 1);
     }
 
-    /// Like [`ObjectCollection::node_weights_into`], fanning the grid scoring
-    /// out across up to `workers` threads (one per intersecting column-band
-    /// shard at most).  Bit-identical to the sequential path — see
-    /// [`GridIndex::accumulate_scores_in_rect_with_workers`].
+    /// Like [`ObjectCollection::node_weights_into`], scoring row bands of the
+    /// rectangle's cell cover on up to `workers` scoped threads.  The bands'
+    /// hits are concatenated and sorted by object id, so the result is
+    /// bit-identical to the sequential pass.
     pub fn node_weights_into_with_workers(
         &self,
         query: &QueryVector,
@@ -243,50 +268,92 @@ impl ObjectCollection {
     ) {
         out.by_node.clear();
         out.by_object.clear();
-        if query.norm == 0.0 {
-            return;
+        let cover = match self.grid.cover_of(rect) {
+            Some(cover) if query.norm != 0.0 => cover,
+            _ => return,
+        };
+        let terms = query_terms(query);
+        let rows = (cover.row_hi - cover.row_lo + 1) as usize;
+        let workers = workers.clamp(1, rows.min(64));
+        let band = |w: usize| {
+            let lo = cover.row_lo + (rows * w / workers) as u32;
+            let hi = cover.row_lo + (rows * (w + 1) / workers) as u32 - 1;
+            cover.rows(lo, hi)
+        };
+        let scratch = &mut out.scratch;
+        if workers <= 1 {
+            self.score_cover(cover, None, rect, query.norm, &terms, scratch);
+        } else {
+            std::thread::scope(|scope| {
+                let others: Vec<_> = (1..workers)
+                    .map(|w| {
+                        let (band, terms) = (band(w), &terms);
+                        scope.spawn(move || {
+                            let mut own = ScoreScratch::default();
+                            self.score_cover(band, None, rect, query.norm, terms, &mut own);
+                            own.hits
+                        })
+                    })
+                    .collect();
+                self.score_cover(band(0), None, rect, query.norm, &terms, scratch);
+                for handle in others {
+                    let hits = handle.join().expect("score band worker panicked");
+                    scratch.hits.extend(hits);
+                }
+            });
         }
-        let query_terms: Vec<(TermId, f64)> = query
-            .terms
-            .iter()
-            .filter_map(|t| t.id.map(|id| (id, t.weight)))
-            .collect();
-        // Accumulate in ascending object-id order: per-node weights are sums
-        // of floating-point scores, and a deterministic summation order makes
-        // repeated (and batched) runs of the same query bit-identical.  The
-        // grid returns a BTreeMap, so its iteration order *is* that order.
-        for (object_id, partial) in
-            self.grid
-                .accumulate_scores_in_rect_with_workers(rect, &query_terms, workers)
-        {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            let object = &self.objects[idx];
-            if !rect.contains(&object.point) {
-                continue; // the cell overlapped Q.Λ but the object itself is outside
-            }
-            let score = partial / query.norm;
-            if score <= 0.0 {
+        finish(out);
+    }
+
+    /// Scores the cells of `cover` outside `skip` into `scratch.hits`,
+    /// keeping objects inside `rect`; returns the number of occupied cells
+    /// scored.
+    fn score_cover(
+        &self,
+        cover: Cover,
+        skip: Option<Cover>,
+        rect: &Rect,
+        norm: f64,
+        terms: &[(TermId, f64)],
+        scratch: &mut ScoreScratch,
+    ) -> usize {
+        let ScoreScratch { cell, hits } = scratch;
+        let mut scored = 0;
+        for c in cover.cells() {
+            if skip.is_some_and(|s| s.contains(c)) {
                 continue;
             }
-            out.by_object.insert(object_id, score);
-            *out.by_node.entry(self.object_nodes[idx]).or_insert(0.0) += score;
+            let occupied = self.grid.score_cell(c, terms, cell, |o, partial| {
+                if !rect.contains(&o.point) {
+                    return; // the cell overlapped Q.Λ but the object itself is outside
+                }
+                let score = partial / norm;
+                if score > 0.0 {
+                    hits.push(Hit {
+                        id: o.id,
+                        node: self.object_nodes[o.index as usize],
+                        score,
+                    });
+                }
+            });
+            scored += usize::from(occupied);
         }
+        scored
     }
 
     /// Delta variant of [`ObjectCollection::node_weights_into`] for an
     /// interactive session step: `prev` holds the weights of the same query
-    /// vector over `old_rect`; only the grid cells that `new_rect` covers
-    /// *beyond* `old_rect` are rescanned, and per-object scores surviving the
-    /// pan (object inside both rects) are carried over unchanged.  Returns
-    /// the number of cells rescanned.
+    /// vector over `old_rect`.  Cells of `new_rect`'s cover that lie in
+    /// `old_rect`'s interior (every object they hold is inside `old_rect`,
+    /// decided with the grid's bucketing arithmetic) keep `prev`'s scores
+    /// for their objects inside `new_rect`; every other cell of the cover is
+    /// rescanned.
+    /// Returns the number of occupied cells rescanned.
     ///
     /// Bit-identical to a cold [`ObjectCollection::node_weights_into`] over
     /// `new_rect`: an object's Equation-2 partial accumulates entirely within
     /// its single grid cell, so per-object scores are rect-independent, and
-    /// the per-node sums are rebuilt by iterating the merged object map in
-    /// the same ascending-id order the cold pass uses.
+    /// the per-node sums are rebuilt in the cold pass's ascending-id order.
     pub fn node_weights_delta_into(
         &self,
         query: &QueryVector,
@@ -297,59 +364,40 @@ impl ObjectCollection {
     ) -> usize {
         out.by_node.clear();
         out.by_object.clear();
-        if query.norm == 0.0 {
-            return 0;
-        }
-        // Survivors: per-object scores are independent of the rect (only the
-        // inside-the-rect filter depends on it), so any previously scored
-        // object still inside the new rect keeps its score bit-for-bit.
-        for (&object_id, &score) in &prev.by_object {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            if new_rect.contains(&self.objects[idx].point) {
-                out.by_object.insert(object_id, score);
+        let cover = match self.grid.cover_of(new_rect) {
+            Some(cover) if query.norm != 0.0 => cover,
+            _ => return 0,
+        };
+        let interior = self.grid.interior_of(old_rect);
+        let terms = query_terms(query);
+        let rescanned = self.score_cover(
+            cover,
+            interior,
+            new_rect,
+            query.norm,
+            &terms,
+            &mut out.scratch,
+        );
+        if let Some(interior) = interior {
+            for &(id, score) in &prev.by_object {
+                let Some(i) = self.index_of(id) else {
+                    continue;
+                };
+                let point = &self.objects[i].point;
+                let kept = self
+                    .grid
+                    .cell_of(point)
+                    .is_some_and(|c| interior.contains(c));
+                if kept && new_rect.contains(point) {
+                    out.scratch.hits.push(Hit {
+                        id,
+                        node: self.object_nodes[i],
+                        score,
+                    });
+                }
             }
         }
-        // Rescan: cells the new rect covers that the old rect did not fully
-        // contain.  Fully-contained cells were already scored exhaustively
-        // (every object of theirs passed the old inside-the-rect filter or
-        // scored zero, which the cold pass also drops).
-        let query_terms: Vec<(TermId, f64)> = query
-            .terms
-            .iter()
-            .filter_map(|t| t.id.map(|id| (id, t.weight)))
-            .collect();
-        let fresh: Vec<CellId> = self
-            .grid
-            .cells_intersecting(new_rect)
-            .into_iter()
-            .filter(|&c| !old_rect.contains_rect(&self.grid.cell_rect(c)))
-            .collect();
-        let rescanned = fresh.len();
-        for (object_id, partial) in self.grid.accumulate_scores_in_cells(&fresh, &query_terms) {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            if !new_rect.contains(&self.objects[idx].point) {
-                continue;
-            }
-            let score = partial / query.norm;
-            if score <= 0.0 {
-                continue;
-            }
-            // An object both surviving and rescanned recomputes the identical
-            // score, so overwriting is safe.
-            out.by_object.insert(object_id, score);
-        }
-        // Rebuild per-node sums in ascending object-id order — the exact
-        // summation order of the cold pass, so the float sums are identical.
-        for (&object_id, &score) in &out.by_object {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            *out.by_node.entry(self.object_nodes[idx]).or_insert(0.0) += score;
-        }
+        finish(out);
         rescanned
     }
 
@@ -387,6 +435,7 @@ impl ObjectCollection {
         default_rating: f64,
     ) -> NodeWeights {
         let mut weights = NodeWeights::default();
+        let mut by_node: BTreeMap<NodeId, f64> = BTreeMap::new();
         let normalized: Vec<String> = keywords
             .iter()
             .map(|k| crate::object::normalize_term(k.as_ref()))
@@ -407,16 +456,45 @@ impl ObjectCollection {
             if score <= 0.0 {
                 continue;
             }
-            weights.by_object.insert(object.id, score);
-            *weights.by_node.entry(self.object_nodes[i]).or_insert(0.0) += score;
+            weights.by_object.push((object.id, score));
+            *by_node.entry(self.object_nodes[i]).or_insert(0.0) += score;
         }
+        weights.by_object.sort_unstable_by_key(|&(o, _)| o);
+        weights.by_node.extend(by_node);
         weights
+    }
+}
+
+/// `(term, w_{Q.ψ,t})` of the query terms that can score, in query order.
+fn query_terms(query: &QueryVector) -> Vec<(TermId, f64)> {
+    query
+        .terms
+        .iter()
+        .filter(|t| t.weight != 0.0)
+        .filter_map(|t| t.id.map(|id| (id, t.weight)))
+        .collect()
+}
+
+/// Turns a pass's hits into the output lists: objects ascending by id, and
+/// per-node sums added in ascending object-id order (the summation order
+/// that makes repeated and batched runs bit-identical).
+fn finish(out: &mut NodeWeights) {
+    let hits = &mut out.scratch.hits;
+    hits.sort_unstable_by_key(|h| h.id);
+    out.by_object.extend(hits.iter().map(|h| (h.id, h.score)));
+    hits.sort_unstable_by_key(|h| (h.node, h.id));
+    for h in hits.drain(..) {
+        match out.by_node.last_mut() {
+            Some((node, sum)) if *node == h.node => *sum += h.score,
+            _ => out.by_node.push((h.node, h.score)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::CellId;
     use lcmsr_roadnet::builder::GraphBuilder;
     use lcmsr_roadnet::geo::Point;
 
@@ -481,7 +559,8 @@ mod tests {
         // so node 4 carries the largest weight among single-object nodes.
         assert!(w.weight(NodeId(4)) >= w.weight(NodeId(0)));
         assert!(w.max_weight() > 0.0);
-        assert!((w.total_weight() - w.by_node.values().sum::<f64>()).abs() < 1e-12);
+        let sum: f64 = w.by_node.iter().map(|&(_, w)| w).sum();
+        assert!((w.total_weight() - sum).abs() < 1e-12);
     }
 
     #[test]
@@ -520,8 +599,8 @@ mod tests {
         let w = coll.node_weights_for_keywords(&["restaurant", "pizza"], &rect);
         // Object 1 (restaurant+pizza) on node 1 scores higher than object 0
         // (restaurant+italian) on node 0.
-        let s1 = w.by_object.get(&ObjectId(1)).copied().unwrap_or(0.0);
-        let s0 = w.by_object.get(&ObjectId(0)).copied().unwrap_or(0.0);
+        let s1 = w.object_score(ObjectId(1)).unwrap_or(0.0);
+        let s0 = w.object_score(ObjectId(0)).unwrap_or(0.0);
         assert!(s1 > s0);
     }
 
@@ -539,7 +618,7 @@ mod tests {
         // Object 1 (restaurant, no rating) falls back to the default rating.
         assert!((w.weight(NodeId(1)) - 1.0).abs() < 1e-12);
         // The cafe does not match and contributes nothing.
-        assert!(!w.by_object.contains_key(&ObjectId(2)));
+        assert_eq!(w.object_score(ObjectId(2)), None);
         // No keywords → empty; unknown keywords → empty.
         assert!(coll
             .node_weights_by_rating(&Vec::<String>::new(), &rect, 1.0)
@@ -568,26 +647,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_and_scoring_match_the_sequential_path() {
+    fn parallel_scoring_matches_the_sequential_path() {
         let (network, objects) = network_and_objects();
-        let sequential = ObjectCollection::build(&network, objects.clone(), 200.0).unwrap();
+        let coll = ObjectCollection::build(&network, objects, 60.0).unwrap();
         let rect = network.bounding_rect().unwrap().expanded(50.0);
-        let q = sequential.query_vector(&["restaurant", "pizza"]);
-        let reference = sequential.node_weights(&q, &rect);
+        let q = coll.query_vector(&["restaurant", "pizza"]);
+        let reference = coll.node_weights(&q, &rect);
+        assert!(!reference.is_empty());
         for workers in [2usize, 4, 7] {
-            let parallel =
-                ObjectCollection::build_with_workers(&network, objects.clone(), 200.0, workers)
-                    .unwrap();
-            assert_eq!(parallel.len(), sequential.len());
-            assert_eq!(parallel.keyword_count(), sequential.keyword_count());
             let mut w = NodeWeights::default();
-            parallel.node_weights_into_with_workers(&q, &rect, &mut w, workers);
-            assert_eq!(w.by_node.len(), reference.by_node.len());
-            for ((na, sa), (nb, sb)) in reference.by_node.iter().zip(&w.by_node) {
-                assert_eq!(na, nb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "workers={workers} node={na:?}");
-            }
-            assert_eq!(w.by_object, reference.by_object);
+            coll.node_weights_into_with_workers(&q, &rect, &mut w, workers);
+            assert_eq!(w.by_node, reference.by_node, "workers={workers}");
+            assert_eq!(w.by_object, reference.by_object, "workers={workers}");
         }
     }
 
@@ -637,6 +708,45 @@ mod tests {
         let empty_prev = NodeWeights::default();
         coll.node_weights_delta_into(&empty_q, &rects[0], &rects[1], &empty_prev, &mut out);
         assert!(out.is_empty());
+    }
+
+    /// A point exactly on a computed cell edge buckets into the cell right
+    /// of it although it lies an ulp left of that cell's float rectangle.
+    /// Panning from that rectangle must still rescan the cell.
+    #[test]
+    fn delta_keeps_objects_bucketed_across_a_float_cell_edge() {
+        const MIN_X: f64 = -17616.723516683764;
+        let mut b = GraphBuilder::new();
+        let west = b.add_node(Point::new(MIN_X + 60.0, 0.0));
+        let east = b.add_node(Point::new(MIN_X + 15_060.0, 100.0));
+        b.add_edge_euclidean(west, east).unwrap();
+        let network = b.build().unwrap();
+        let objects = vec![
+            GeoTextObject::from_keywords(0u64, Point::new(-5436.7235166837645, 30.0), ["cafe"]),
+            GeoTextObject::from_keywords(1u64, Point::new(-5410.0, 30.0), ["cafe"]),
+        ];
+        let coll = ObjectCollection::build(&network, objects, 60.0).unwrap();
+        assert_eq!(coll.grid().extent().min_x, MIN_X);
+        let cell = CellId { col: 203, row: 1 };
+        let edge = coll.objects()[0].point;
+        assert_eq!(coll.grid().cell_of(&edge), Some(cell));
+        let old = coll.grid().cell_rect(cell);
+        assert!(
+            edge.x < old.min_x,
+            "the float cell edge and bucketing disagree"
+        );
+
+        let new = Rect::new(old.min_x - 30.0, old.min_y, old.max_x, old.max_y);
+        let q = coll.query_vector(&["cafe"]);
+        let prev = coll.node_weights(&q, &old);
+        let cold = coll.node_weights(&q, &new);
+        let ids = |w: &NodeWeights| w.by_object.iter().map(|&(o, _)| o.0).collect::<Vec<_>>();
+        assert_eq!(ids(&prev), vec![1]);
+        assert_eq!(ids(&cold), vec![0, 1]);
+        let mut delta = NodeWeights::default();
+        coll.node_weights_delta_into(&q, &old, &new, &prev, &mut delta);
+        assert_eq!(delta.by_object, cold.by_object);
+        assert_eq!(delta.by_node, cold.by_node);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The uniform spatial grid index of Section 3, sharded into column bands.
+//! The uniform spatial grid index of Section 3, laid out as flat arrays.
 //!
 //! "We use a grid index to organize the geo-textual objects.  We partition the
 //! entire space according to a uniform grid, and each object is stored in the
@@ -7,34 +7,33 @@
 //! cell."
 //!
 //! [`GridIndex`] partitions the bounding extent into square cells of a
-//! configurable size; each cell holds its objects' ids plus an
-//! [`InvertedIndex`] backed by the paged B⁺-tree.
+//! configurable size.  The paper's per-cell inverted list is an in-memory
+//! **run table**: every cell shares three flat arrays in a CSR layout built by
+//! one counting sort (the pattern `lcmsr_roadnet::spatial::NodeGrid` uses),
+//! so scoring walks contiguous memory instead of chasing tree pointers.
 //!
-//! # Sharding
+//! * **Objects.**  Cell `c` (row-major, `c = row * cols + col`) owns the
+//!   object slots `object_offsets[c]..object_offsets[c + 1]`, in input order.
+//!   Each slot holds the object's id, point and collection index.
+//! * **Runs.**  Cell `c` owns the term runs `run_offsets[c]..run_offsets[c + 1]`,
+//!   sorted by [`TermId`]; run `r` covers the postings
+//!   `run_starts[r]..run_starts[r + 1]`.
+//! * **Postings.**  A cell-local object slot plus the precomputed
+//!   `wto(t) = w_{o.ψ,t} / W_{o.ψ}` of Equation 2, in slot order within a run.
 //!
-//! The cell columns are split into contiguous **column bands** (shards), each
-//! owning its own cell map.  Because every object lives in exactly one cell —
-//! and hence exactly one shard — shards are mutually disjoint: the build
-//! phase can fill them concurrently behind independent locks
-//! ([`GridIndex::bulk_insert_preinterned`]), and keyword scoring can fan a
-//! query rectangle's shard range out across threads and merge per-shard
-//! accumulators in ascending shard order with a result bit-identical to the
-//! sequential pass ([`GridIndex::accumulate_scores_in_rect_with_workers`]).
-//! A rectangle's cover maps to a *contiguous* shard range, so a query touches
-//! only the shards its columns intersect.
+//! Bucketing and covers use one integer cell arithmetic ([`GridIndex::cell_of`],
+//! `cover_of`, `interior_of`), never the float [`GridIndex::cell_rect`]
+//! bounds, which can disagree with it by an ulp.
 
 use crate::error::{GeoTextError, Result};
-use crate::inverted::InvertedIndex;
 use crate::object::{GeoTextObject, ObjectId};
 use crate::vocab::{TermId, Vocabulary};
+use crate::vsm::{object_norm, tf_weight};
 use lcmsr_roadnet::geo::{Point, Rect};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Default number of column-band shards for [`GridIndex::new`] (clamped to
-/// the column count, so small grids degenerate to one shard per column).
-pub const DEFAULT_SHARD_COUNT: usize = 8;
+/// Most cells a grid may have: its two dense offset tables then take
+/// 512 MiB.  A cell size too small for the extent is a configuration error.
+pub const MAX_CELLS: usize = 1 << 26;
 
 /// Identifier of a grid cell as (column, row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,56 +44,89 @@ pub struct CellId {
     pub row: u32,
 }
 
-/// One cell of the grid: the objects whose location falls inside it and the
-/// cell-local inverted index over their keywords.
-#[derive(Debug, Clone, Default)]
-pub struct GridCell {
-    /// Ids of the objects stored in this cell.
-    pub objects: Vec<ObjectId>,
-    /// Inverted lists over the cell's objects.
-    pub inverted: InvertedIndex,
+/// An inclusive range of grid cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cover {
+    pub(crate) col_lo: u32,
+    pub(crate) col_hi: u32,
+    pub(crate) row_lo: u32,
+    pub(crate) row_hi: u32,
 }
 
-/// One column band of the grid: the occupied cells of a contiguous column
-/// range.  Shards never share a cell, so they can be built and queried
-/// independently.
-#[derive(Debug, Clone, Default)]
-struct GridShard {
-    cells: BTreeMap<CellId, GridCell>,
-    object_count: usize,
+impl Cover {
+    /// Whether the range includes `cell`.
+    pub(crate) fn contains(&self, cell: CellId) -> bool {
+        (self.col_lo..=self.col_hi).contains(&cell.col)
+            && (self.row_lo..=self.row_hi).contains(&cell.row)
+    }
+
+    /// The sub-range restricted to rows `row_lo..=row_hi`.
+    pub(crate) fn rows(&self, row_lo: u32, row_hi: u32) -> Cover {
+        debug_assert!(self.row_lo <= row_lo && row_hi <= self.row_hi);
+        Cover {
+            row_lo,
+            row_hi,
+            ..*self
+        }
+    }
+
+    /// The cells of the range in row-major order (the CSR order).
+    pub(crate) fn cells(&self) -> impl Iterator<Item = CellId> + '_ {
+        (self.row_lo..=self.row_hi)
+            .flat_map(move |row| (self.col_lo..=self.col_hi).map(move |col| CellId { col, row }))
+    }
 }
 
-/// The inclusive cell range of a query rectangle.
-#[derive(Debug, Clone, Copy)]
-struct Cover {
-    col_lo: u32,
-    col_hi: u32,
-    row_lo: u32,
-    row_hi: u32,
+/// One indexed object, as its cell's slot stores it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridObject {
+    /// The object's id.
+    pub id: ObjectId,
+    /// The object's location.
+    pub point: Point,
+    /// Position of the object in the slice the grid was built from.
+    pub index: u32,
 }
 
-/// A uniform grid index over geo-textual objects, sharded by column band.
+/// A uniform grid index over geo-textual objects with per-cell term runs.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     extent: Rect,
     cell_size: f64,
     cols: u32,
     rows: u32,
-    shards: Vec<GridShard>,
-    object_count: usize,
+    /// CSR offsets of each cell's slots in `objects` (`cols * rows + 1`).
+    object_offsets: Vec<u32>,
+    /// Object slots grouped by cell, input order within a cell.
+    objects: Vec<GridObject>,
+    /// CSR offsets of each cell's runs in `run_terms` (`cols * rows + 1`).
+    run_offsets: Vec<u32>,
+    /// Term of each run, ascending within a cell.
+    run_terms: Vec<TermId>,
+    /// First posting of each run, plus a final sentinel.
+    run_starts: Vec<u32>,
+    /// Cell-local slot of each posting.
+    posting_slots: Vec<u32>,
+    /// `wto(t)` of each posting.
+    posting_weights: Vec<f64>,
 }
 
 impl GridIndex {
-    /// Creates an empty grid over `extent` with square cells of `cell_size`
-    /// metres and the default shard count.
-    pub fn new(extent: Rect, cell_size: f64) -> Result<Self> {
-        Self::new_sharded(extent, cell_size, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Creates an empty grid with an explicit number of column-band shards.
-    /// The count is clamped to `1..=cols`, so every shard owns at least one
-    /// column; the shard layout never changes results, only parallelism.
-    pub fn new_sharded(extent: Rect, cell_size: f64, shard_count: usize) -> Result<Self> {
+    /// Builds the grid over `extent` with square cells of `cell_size` metres,
+    /// indexing `objects` whose terms were **already interned** into
+    /// `vocabulary` (by [`Vocabulary::register_document`]).
+    ///
+    /// Fails on the first object that lies outside the extent, has a
+    /// non-finite location or an empty description (it could never match a
+    /// query).  A term missing from the vocabulary (a contract breach) is
+    /// skipped — unobservable, since queries resolve terms through the same
+    /// vocabulary.
+    pub fn build(
+        extent: Rect,
+        cell_size: f64,
+        vocabulary: &Vocabulary,
+        objects: &[GeoTextObject],
+    ) -> Result<Self> {
         if !(cell_size.is_finite() && cell_size > 0.0) {
             return Err(GeoTextError::InvalidGridConfig {
                 message: format!("cell size must be positive, got {cell_size}"),
@@ -105,17 +137,99 @@ impl GridIndex {
                 message: "extent must have positive width and height".into(),
             });
         }
+        // Slots and postings are addressed by u32 offsets.
+        let postings: usize = objects.iter().map(|o| o.terms.len()).sum();
+        if u32::try_from(postings.max(objects.len())).is_err() {
+            return Err(GeoTextError::InvalidGridConfig {
+                message: format!("{postings} postings exceed the u32 offset range"),
+            });
+        }
         let cols = (extent.width() / cell_size).ceil().max(1.0) as u32;
         let rows = (extent.height() / cell_size).ceil().max(1.0) as u32;
-        let shard_count = shard_count.clamp(1, cols as usize);
-        Ok(GridIndex {
+        let cell_count = cols as usize * rows as usize;
+        if cell_count > MAX_CELLS {
+            return Err(GeoTextError::InvalidGridConfig {
+                message: format!(
+                    "cell size {cell_size} gives {cell_count} cells (max {MAX_CELLS})"
+                ),
+            });
+        }
+        let mut grid = GridIndex {
             extent,
             cell_size,
             cols,
             rows,
-            shards: vec![GridShard::default(); shard_count],
-            object_count: 0,
-        })
+            object_offsets: Vec::new(),
+            objects: Vec::with_capacity(objects.len()),
+            run_offsets: Vec::new(),
+            run_terms: Vec::new(),
+            run_starts: Vec::new(),
+            posting_slots: Vec::new(),
+            posting_weights: Vec::new(),
+        };
+        let cells = objects
+            .iter()
+            .map(|o| grid.validate_and_locate(o).map(|c| grid.cell_index(c)))
+            .collect::<Result<Vec<usize>>>()?;
+
+        // Counting sort of the objects by cell; input order survives within
+        // a cell.
+        let mut offsets = vec![0u32; cell_count + 1];
+        for &c in &cells {
+            offsets[c + 1] += 1;
+        }
+        for c in 0..cell_count {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut order = vec![0u32; objects.len()];
+        let mut cursor = offsets[..cell_count].to_vec();
+        for (i, &c) in cells.iter().enumerate() {
+            order[cursor[c] as usize] = i as u32;
+            cursor[c] += 1;
+        }
+        grid.objects.extend(order.iter().map(|&i| {
+            let o = &objects[i as usize];
+            GridObject {
+                id: o.id,
+                point: o.point,
+                index: i,
+            }
+        }));
+
+        // Per cell: (term, local slot, wto) sorted stably by term, so each
+        // run lists its postings in slot order.
+        let mut run_offsets = Vec::with_capacity(cell_count + 1);
+        run_offsets.push(0u32);
+        let mut entries: Vec<(TermId, u32, f64)> = Vec::new();
+        for c in 0..cell_count {
+            entries.clear();
+            let slots = &order[offsets[c] as usize..offsets[c + 1] as usize];
+            for (local, &i) in slots.iter().enumerate() {
+                let object = &objects[i as usize];
+                let norm = object_norm(object);
+                for (term, &tf) in &object.terms {
+                    let Some(id) = vocabulary.lookup(term) else {
+                        debug_assert!(false, "term {term:?} was not pre-interned");
+                        continue;
+                    };
+                    entries.push((id, local as u32, tf_weight(tf) / norm));
+                }
+            }
+            entries.sort_by_key(|e| e.0);
+            for (k, &(term, slot, weight)) in entries.iter().enumerate() {
+                if k == 0 || entries[k - 1].0 != term {
+                    grid.run_terms.push(term);
+                    grid.run_starts.push(grid.posting_slots.len() as u32);
+                }
+                grid.posting_slots.push(slot);
+                grid.posting_weights.push(weight);
+            }
+            run_offsets.push(grid.run_terms.len() as u32);
+        }
+        grid.run_starts.push(grid.posting_slots.len() as u32);
+        grid.object_offsets = offsets;
+        grid.run_offsets = run_offsets;
+        Ok(grid)
     }
 
     /// The extent covered by the grid.
@@ -133,41 +247,31 @@ impl GridIndex {
         (self.cols, self.rows)
     }
 
-    /// Number of column-band shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of cells that contain at least one object.
     pub fn occupied_cells(&self) -> usize {
-        self.shards.iter().map(|s| s.cells.len()).sum()
+        self.object_offsets
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .count()
     }
 
     /// Total number of indexed objects.
     pub fn object_count(&self) -> usize {
-        self.object_count
+        self.objects.len()
     }
 
-    /// The shard owning column `col` (caller guarantees `col < cols`).
-    /// Column bands are assigned by even division, so the mapping is
-    /// monotone: a contiguous column range maps to a contiguous shard range.
-    fn shard_of_col(&self, col: u32) -> usize {
-        let shard = u64::from(col) * self.shards.len() as u64 / u64::from(self.cols);
-        (shard as usize).min(self.shards.len() - 1)
+    fn cell_index(&self, cell: CellId) -> usize {
+        cell.row as usize * self.cols as usize + cell.col as usize
     }
 
-    /// First column owned by `shard`.
-    fn shard_col_lo(&self, shard: usize) -> u32 {
-        ((shard as u64 * u64::from(self.cols)).div_ceil(self.shards.len() as u64)) as u32
+    /// The column bucketing assigns to `x` (clamped to the grid).
+    fn col_of(&self, x: f64) -> u32 {
+        (((x - self.extent.min_x) / self.cell_size) as u32).min(self.cols - 1)
     }
 
-    /// Last column owned by `shard` (inclusive).
-    fn shard_col_hi(&self, shard: usize) -> u32 {
-        if shard + 1 == self.shards.len() {
-            self.cols - 1
-        } else {
-            self.shard_col_lo(shard + 1) - 1
-        }
+    /// The row bucketing assigns to `y` (clamped to the grid).
+    fn row_of(&self, y: f64) -> u32 {
+        (((y - self.extent.min_y) / self.cell_size) as u32).min(self.rows - 1)
     }
 
     /// The cell id containing `p`, or `None` if `p` lies outside the extent.
@@ -175,12 +279,15 @@ impl GridIndex {
         if !self.extent.contains(p) {
             return None;
         }
-        let col = (((p.x - self.extent.min_x) / self.cell_size) as u32).min(self.cols - 1);
-        let row = (((p.y - self.extent.min_y) / self.cell_size) as u32).min(self.rows - 1);
-        Some(CellId { col, row })
+        Some(CellId {
+            col: self.col_of(p.x),
+            row: self.row_of(p.y),
+        })
     }
 
-    /// Rectangle covered by a cell.
+    /// Rectangle covered by a cell.  For display only: a point on the
+    /// rectangle's edge may bucket into the neighbouring cell, so membership
+    /// decisions use [`GridIndex::cell_of`] and its integer arithmetic.
     pub fn cell_rect(&self, cell: CellId) -> Rect {
         let min_x = self.extent.min_x + cell.col as f64 * self.cell_size;
         let min_y = self.extent.min_y + cell.row as f64 * self.cell_size;
@@ -192,7 +299,7 @@ impl GridIndex {
         )
     }
 
-    /// Validates an object and resolves its cell, without inserting.
+    /// Validates an object and resolves its cell.
     fn validate_and_locate(&self, object: &GeoTextObject) -> Result<CellId> {
         if !object.point.is_finite() {
             return Err(GeoTextError::InvalidLocation {
@@ -210,250 +317,108 @@ impl GridIndex {
             })
     }
 
-    /// Inserts an object, interning its terms into `vocabulary`.
-    ///
-    /// Objects outside the grid extent or with non-finite coordinates are
-    /// rejected; objects with empty descriptions are rejected as well since
-    /// they can never contribute to a query result.
-    pub fn insert(
-        &mut self,
-        vocabulary: &mut Vocabulary,
-        object: &GeoTextObject,
-    ) -> Result<CellId> {
-        let cell_id = self.validate_and_locate(object)?;
-        let shard_index = self.shard_of_col(cell_id.col);
-        let shard = &mut self.shards[shard_index];
-        let cell = shard.cells.entry(cell_id).or_default();
-        cell.objects.push(object.id);
-        cell.inverted.add_object(vocabulary, object);
-        shard.object_count += 1;
-        self.object_count += 1;
-        Ok(cell_id)
+    /// The objects stored in a cell, in input order (empty when out of range).
+    pub fn cell_objects(&self, cell: CellId) -> &[GridObject] {
+        if cell.col >= self.cols || cell.row >= self.rows {
+            return &[];
+        }
+        let c = self.cell_index(cell);
+        &self.objects[self.object_offsets[c] as usize..self.object_offsets[c + 1] as usize]
     }
 
-    /// Bulk-inserts objects whose terms were **already interned** into
-    /// `vocabulary` (by a [`Vocabulary::register_document`] pass over the
-    /// same objects, in the same order).  Objects are routed to their shards
-    /// in input order, then the shards — each behind its own lock — are
-    /// filled by up to `workers` scoped threads pulling whole shards off a
-    /// shared cursor.  One shard is only ever touched by one worker, and
-    /// per-cell object order equals input order, so the resulting index is
-    /// bit-identical to a sequential [`GridIndex::insert`] loop.
-    ///
-    /// Fails (without mutating the grid) on the first invalid object, with
-    /// the same error [`GridIndex::insert`] would report.
-    pub fn bulk_insert_preinterned<'a, I>(
-        &mut self,
-        vocabulary: &Vocabulary,
-        objects: I,
-        workers: usize,
-    ) -> Result<usize>
-    where
-        I: IntoIterator<Item = &'a GeoTextObject>,
-    {
-        let mut routed: Vec<Vec<(CellId, &GeoTextObject)>> = vec![Vec::new(); self.shards.len()];
-        let mut total = 0usize;
-        for object in objects {
-            let cell_id = self.validate_and_locate(object)?;
-            routed[self.shard_of_col(cell_id.col)].push((cell_id, object));
-            total += 1;
-        }
-        let workers = workers.clamp(1, self.shards.len());
-        if workers <= 1 {
-            for (shard, batch) in self.shards.iter_mut().zip(&routed) {
-                fill_shard(shard, vocabulary, batch);
-            }
-        } else {
-            // Each shard pairs with its batch behind an independent lock;
-            // workers claim shard indices from the cursor, so a lock is only
-            // ever taken by the single worker that claimed it.
-            type ShardSlot<'s, 'o> = Mutex<(&'s mut GridShard, &'s [(CellId, &'o GeoTextObject)])>;
-            let slots: Vec<ShardSlot<'_, '_>> = self
-                .shards
-                .iter_mut()
-                .zip(routed.iter().map(Vec::as_slice))
-                .map(Mutex::new)
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("grid shard lock poisoned");
-                        let (shard, batch) = &mut *guard;
-                        fill_shard(shard, vocabulary, batch);
-                    });
-                }
-            });
-        }
-        self.object_count += total;
-        Ok(total)
-    }
-
-    /// The cell with the given id, if it holds any objects.
-    pub fn cell(&self, id: CellId) -> Option<&GridCell> {
-        if id.col >= self.cols {
-            return None;
-        }
-        self.shards[self.shard_of_col(id.col)].cells.get(&id)
-    }
-
-    /// The inclusive cell range intersecting `rect`, or `None` when disjoint.
-    fn cover_of(&self, rect: &Rect) -> Option<Cover> {
+    /// The cells that can hold an object inside `rect`, or `None` when
+    /// `rect` misses the extent.
+    pub(crate) fn cover_of(&self, rect: &Rect) -> Option<Cover> {
         let clipped = self.extent.intersection(rect)?;
-        let col = |x: f64| (((x - self.extent.min_x) / self.cell_size) as u32).min(self.cols - 1);
-        let row = |y: f64| (((y - self.extent.min_y) / self.cell_size) as u32).min(self.rows - 1);
         Some(Cover {
-            col_lo: col(clipped.min_x),
-            col_hi: col(clipped.max_x),
-            row_lo: row(clipped.min_y),
-            row_hi: row(clipped.max_y),
+            col_lo: self.col_of(clipped.min_x),
+            col_hi: self.col_of(clipped.max_x),
+            row_lo: self.row_of(clipped.min_y),
+            row_hi: self.row_of(clipped.max_y),
         })
     }
 
-    /// Ids of the occupied cells whose rectangle intersects `rect`.
+    /// The cells every object of which lies inside `rect`, or `None` when
+    /// there are none.  Bucketing is monotone in each coordinate, so a cell
+    /// strictly right of the column `rect.min_x` buckets into holds only
+    /// points with `x >= rect.min_x` (likewise for the other three sides);
+    /// an edge of `rect` at or beyond the extent bounds nothing.
+    pub(crate) fn interior_of(&self, rect: &Rect) -> Option<Cover> {
+        let lo = |v: f64, min: f64, bucket: u32| {
+            if v <= min {
+                Some(0)
+            } else {
+                bucket.checked_add(1)
+            }
+        };
+        let hi = |v: f64, max: f64, bucket: u32, last: u32| {
+            if v >= max {
+                Some(last)
+            } else {
+                bucket.checked_sub(1)
+            }
+        };
+        let e = &self.extent;
+        let cover = Cover {
+            col_lo: lo(rect.min_x, e.min_x, self.col_of(rect.min_x))?,
+            col_hi: hi(rect.max_x, e.max_x, self.col_of(rect.max_x), self.cols - 1)?,
+            row_lo: lo(rect.min_y, e.min_y, self.row_of(rect.min_y))?,
+            row_hi: hi(rect.max_y, e.max_y, self.row_of(rect.max_y), self.rows - 1)?,
+        };
+        (cover.col_lo <= cover.col_hi && cover.row_lo <= cover.row_hi).then_some(cover)
+    }
+
+    /// Ids of the occupied cells whose objects may lie inside `rect`.
     pub fn cells_intersecting(&self, rect: &Rect) -> Vec<CellId> {
-        let Some(cover) = self.cover_of(rect) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for col in cover.col_lo..=cover.col_hi {
-            let cells = &self.shards[self.shard_of_col(col)].cells;
-            for row in cover.row_lo..=cover.row_hi {
-                let id = CellId { col, row };
-                if cells.contains_key(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
+        self.cover_of(rect).map_or_else(Vec::new, |cover| {
+            cover
+                .cells()
+                .filter(|&c| !self.cell_objects(c).is_empty())
+                .collect()
+        })
     }
 
-    /// Accumulates one shard's contribution to the Equation-2 partial scores,
-    /// visiting the shard's columns inside the cover in ascending order.
-    fn accumulate_shard(
-        &self,
-        shard: usize,
-        cover: Cover,
-        query_terms: &[(TermId, f64)],
-        acc: &mut BTreeMap<ObjectId, f64>,
-    ) {
-        let col_lo = cover.col_lo.max(self.shard_col_lo(shard));
-        let col_hi = cover.col_hi.min(self.shard_col_hi(shard));
-        let cells = &self.shards[shard].cells;
-        for col in col_lo..=col_hi {
-            for row in cover.row_lo..=cover.row_hi {
-                if let Some(cell) = cells.get(&CellId { col, row }) {
-                    for (obj, partial) in cell.inverted.accumulate_scores(query_terms) {
-                        *acc.entry(obj).or_insert(0.0) += partial;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accumulates Equation-2 partial scores `Σ w_{Q.ψ,t}·wto(t)` for every
-    /// object located in a cell intersecting `rect`.  The caller divides by the
-    /// query norm and filters objects that fall outside `rect` itself (cells
-    /// only approximate the rectangle).
-    pub fn accumulate_scores_in_rect(
-        &self,
-        rect: &Rect,
-        query_terms: &[(TermId, f64)],
-    ) -> BTreeMap<ObjectId, f64> {
-        self.accumulate_scores_in_rect_with_workers(rect, query_terms, 1)
-    }
-
-    /// Like [`GridIndex::accumulate_scores_in_rect`], fanning the rectangle's
-    /// (contiguous) shard range out across up to `workers` scoped threads.
-    /// Only shards whose column band intersects the rectangle are visited.
+    /// Equation-2 partial scores `Σ w_{Q.ψ,t}·wto(t)` of one cell's objects.
     ///
-    /// Bit-identical to the sequential pass for any worker count: each worker
-    /// covers a contiguous run of shards, results merge in ascending shard
-    /// order, and every object lives in exactly one cell — so its score is
-    /// summed entirely within one worker, in the same cell order as the
-    /// sequential loop.
-    pub fn accumulate_scores_in_rect_with_workers(
+    /// `query_terms` are `(term, w_{Q.ψ,t})` pairs in query order with no
+    /// zero weights.  Each object's sum starts at `0.0` and adds its terms in
+    /// that order.  `emit` receives every object with a positive partial, in
+    /// slot order; `scratch` is resized to the cell's object count.  Returns
+    /// whether the cell holds any object.
+    pub(crate) fn score_cell(
         &self,
-        rect: &Rect,
+        cell: CellId,
         query_terms: &[(TermId, f64)],
-        workers: usize,
-    ) -> BTreeMap<ObjectId, f64> {
-        let mut acc = BTreeMap::new();
-        let Some(cover) = self.cover_of(rect) else {
-            return acc;
-        };
-        let shard_lo = self.shard_of_col(cover.col_lo);
-        let shard_hi = self.shard_of_col(cover.col_hi);
-        let shard_count = shard_hi - shard_lo + 1;
-        let workers = workers.clamp(1, shard_count.min(64));
-        if workers <= 1 {
-            for shard in shard_lo..=shard_hi {
-                self.accumulate_shard(shard, cover, query_terms, &mut acc);
-            }
-            return acc;
+        scratch: &mut Vec<f64>,
+        mut emit: impl FnMut(&GridObject, f64),
+    ) -> bool {
+        let objects = self.cell_objects(cell);
+        if objects.is_empty() {
+            return false;
         }
-        let partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = shard_lo + shard_count * w / workers;
-                    let hi = shard_lo + shard_count * (w + 1) / workers - 1;
-                    scope.spawn(move || {
-                        let mut partial = BTreeMap::new();
-                        for shard in lo..=hi {
-                            self.accumulate_shard(shard, cover, query_terms, &mut partial);
-                        }
-                        partial
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("score shard worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for partial in partials {
-            for (obj, partial_score) in partial {
-                *acc.entry(obj).or_insert(0.0) += partial_score;
-            }
-        }
-        acc
-    }
-
-    /// Accumulates Equation-2 partial scores over an explicit cell subset —
-    /// the delta-prepare path, which rescans only the cells a panned query
-    /// rectangle newly covers instead of the whole cover.
-    ///
-    /// Every object lives in exactly one cell, so its full partial score
-    /// accumulates entirely within that cell's inverted index: for any cell
-    /// in the subset, the per-object scores here are bit-identical to what
-    /// [`GridIndex::accumulate_scores_in_rect`] would produce for a rectangle
-    /// covering that cell.
-    pub fn accumulate_scores_in_cells(
-        &self,
-        cells: &[CellId],
-        query_terms: &[(TermId, f64)],
-    ) -> BTreeMap<ObjectId, f64> {
-        let mut acc = BTreeMap::new();
-        for &id in cells {
-            if let Some(cell) = self.cell(id) {
-                for (obj, partial) in cell.inverted.accumulate_scores(query_terms) {
-                    *acc.entry(obj).or_insert(0.0) += partial;
+        let c = self.cell_index(cell);
+        let first_run = self.run_offsets[c] as usize;
+        let terms = &self.run_terms[first_run..self.run_offsets[c + 1] as usize];
+        scratch.clear();
+        scratch.resize(objects.len(), 0.0);
+        for &(term, idf) in query_terms {
+            if let Ok(k) = terms.binary_search(&term) {
+                let r = first_run + k;
+                let postings = self.run_starts[r] as usize..self.run_starts[r + 1] as usize;
+                for (&slot, &wto) in self.posting_slots[postings.clone()]
+                    .iter()
+                    .zip(&self.posting_weights[postings])
+                {
+                    scratch[slot as usize] += idf * wto;
                 }
             }
         }
-        acc
-    }
-}
-
-/// Indexes a routed batch into one shard, in batch (= input) order.
-fn fill_shard(shard: &mut GridShard, vocabulary: &Vocabulary, batch: &[(CellId, &GeoTextObject)]) {
-    for &(cell_id, object) in batch {
-        let cell = shard.cells.entry(cell_id).or_default();
-        cell.objects.push(object.id);
-        cell.inverted.add_object_preinterned(vocabulary, object);
-        shard.object_count += 1;
+        for (object, &partial) in objects.iter().zip(scratch.iter()) {
+            if partial > 0.0 {
+                emit(object, partial);
+            }
+        }
+        true
     }
 }
 
@@ -467,48 +432,22 @@ mod tests {
             GeoTextObject::from_keywords(1u64, Point::new(150.0, 50.0), ["restaurant", "pizza"]),
             GeoTextObject::from_keywords(2u64, Point::new(950.0, 950.0), ["cafe"]),
             GeoTextObject::from_keywords(3u64, Point::new(450.0, 450.0), ["museum"]),
+            GeoTextObject::from_keywords(4u64, Point::new(60.0, 40.0), ["pizza", "pizza"]),
         ]
     }
 
-    fn build_grid() -> (GridIndex, Vocabulary) {
-        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        let mut grid = GridIndex::new(extent, 100.0).unwrap();
+    fn build(objects: &[GeoTextObject]) -> (GridIndex, Vocabulary) {
         let mut vocab = Vocabulary::new();
-        for o in make_objects() {
+        for o in objects {
             vocab.register_document(o.terms.keys().map(String::as_str));
-            grid.insert(&mut vocab, &o).unwrap();
         }
+        let grid =
+            GridIndex::build(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0, &vocab, objects).unwrap();
         (grid, vocab)
     }
 
-    /// Many objects spread over the extent, with overlapping keyword sets so
-    /// scores genuinely accumulate across cells and shards.
-    fn dense_objects() -> Vec<GeoTextObject> {
-        let keywords = ["restaurant", "pizza", "cafe", "museum", "bar"];
-        (0..200u64)
-            .map(|i| {
-                let x = (i % 20) as f64 * 50.0 + 5.0;
-                let y = (i / 20) as f64 * 95.0 + 5.0;
-                let a = keywords[(i % 5) as usize];
-                let b = keywords[(i % 3) as usize];
-                GeoTextObject::from_keywords(i, Point::new(x, y), [a, b])
-            })
-            .collect()
-    }
-
-    fn build_dense(shards: usize) -> (GridIndex, Vocabulary) {
-        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        let mut grid = GridIndex::new_sharded(extent, 100.0, shards).unwrap();
-        let mut vocab = Vocabulary::new();
-        for o in dense_objects() {
-            vocab.register_document(o.terms.keys().map(String::as_str));
-            grid.insert(&mut vocab, &o).unwrap();
-        }
-        (grid, vocab)
-    }
-
-    fn query_terms(vocab: &Vocabulary) -> Vec<(TermId, f64)> {
-        ["restaurant", "pizza", "bar"]
+    fn terms(vocab: &Vocabulary, words: &[&str]) -> Vec<(TermId, f64)> {
+        words
             .iter()
             .map(|t| {
                 let id = vocab.lookup(t).unwrap();
@@ -517,31 +456,37 @@ mod tests {
             .collect()
     }
 
+    fn scores(grid: &GridIndex, cell: CellId, terms: &[(TermId, f64)]) -> Vec<(ObjectId, f64)> {
+        let mut out = Vec::new();
+        grid.score_cell(cell, terms, &mut Vec::new(), |o, s| out.push((o.id, s)));
+        out
+    }
+
     #[test]
     fn rejects_invalid_configuration() {
         let extent = Rect::new(0.0, 0.0, 100.0, 100.0);
-        assert!(GridIndex::new(extent, 0.0).is_err());
-        assert!(GridIndex::new(extent, -5.0).is_err());
-        assert!(GridIndex::new(Rect::new(0.0, 0.0, 0.0, 10.0), 10.0).is_err());
-        assert!(GridIndex::new(extent, 10.0).is_ok());
+        let vocab = Vocabulary::new();
+        assert!(GridIndex::build(extent, 0.0, &vocab, &[]).is_err());
+        assert!(GridIndex::build(extent, -5.0, &vocab, &[]).is_err());
+        assert!(GridIndex::build(Rect::new(0.0, 0.0, 0.0, 10.0), 10.0, &vocab, &[]).is_err());
+        assert!(GridIndex::build(extent, 0.001, &vocab, &[]).is_err());
+        assert!(GridIndex::build(extent, 10.0, &vocab, &[]).is_ok());
     }
 
     #[test]
     fn grid_dimensions_cover_extent() {
-        let grid = GridIndex::new(Rect::new(0.0, 0.0, 1050.0, 980.0), 100.0).unwrap();
+        let extent = Rect::new(0.0, 0.0, 1050.0, 980.0);
+        let grid = GridIndex::build(extent, 100.0, &Vocabulary::new(), &[]).unwrap();
         assert_eq!(grid.dimensions(), (11, 10));
         assert_eq!(grid.cell_size(), 100.0);
+        assert_eq!(grid.occupied_cells(), 0);
     }
 
     #[test]
     fn objects_land_in_expected_cells() {
-        let (grid, _) = build_grid();
-        assert_eq!(grid.object_count(), 4);
+        let (grid, _) = build(&make_objects());
+        assert_eq!(grid.object_count(), 5);
         assert_eq!(grid.occupied_cells(), 4);
-        assert_eq!(
-            grid.cell_of(&Point::new(50.0, 50.0)),
-            Some(CellId { col: 0, row: 0 })
-        );
         assert_eq!(
             grid.cell_of(&Point::new(150.0, 50.0)),
             Some(CellId { col: 1, row: 0 })
@@ -552,14 +497,18 @@ mod tests {
             Some(CellId { col: 9, row: 9 })
         );
         assert_eq!(grid.cell_of(&Point::new(-1.0, 0.0)), None);
-        let cell = grid.cell(CellId { col: 0, row: 0 }).unwrap();
-        assert_eq!(cell.objects, vec![ObjectId(0)]);
-        assert_eq!(cell.inverted.object_count(), 1);
+        let ids: Vec<_> = grid
+            .cell_objects(CellId { col: 0, row: 0 })
+            .iter()
+            .map(|o| (o.id, o.index))
+            .collect();
+        assert_eq!(ids, vec![(ObjectId(0), 0), (ObjectId(4), 4)]);
+        assert!(grid.cell_objects(CellId { col: 99, row: 0 }).is_empty());
     }
 
     #[test]
     fn cell_rect_tiles_the_extent() {
-        let (grid, _) = build_grid();
+        let (grid, _) = build(&make_objects());
         let r = grid.cell_rect(CellId { col: 1, row: 0 });
         assert_eq!(r, Rect::new(100.0, 0.0, 200.0, 100.0));
         let last = grid.cell_rect(CellId { col: 9, row: 9 });
@@ -569,28 +518,38 @@ mod tests {
 
     #[test]
     fn rejects_bad_objects() {
-        let (mut grid, mut vocab) = build_grid();
-        let outside = GeoTextObject::from_keywords(10u64, Point::new(5000.0, 0.0), ["bar"]);
-        assert!(matches!(
-            grid.insert(&mut vocab, &outside),
-            Err(GeoTextError::InvalidLocation { object: 10 })
-        ));
-        let empty =
-            GeoTextObject::from_keywords(11u64, Point::new(10.0, 10.0), Vec::<String>::new());
-        assert!(matches!(
-            grid.insert(&mut vocab, &empty),
-            Err(GeoTextError::EmptyDescription { object: 11 })
-        ));
-        let nan = GeoTextObject::from_keywords(12u64, Point::new(f64::NAN, 10.0), ["bar"]);
-        assert!(matches!(
-            grid.insert(&mut vocab, &nan),
-            Err(GeoTextError::InvalidLocation { object: 12 })
-        ));
+        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let vocab = Vocabulary::new();
+        let bad = |o: GeoTextObject| GridIndex::build(extent, 100.0, &vocab, &[o]).unwrap_err();
+        assert_eq!(
+            bad(GeoTextObject::from_keywords(
+                10u64,
+                Point::new(5000.0, 0.0),
+                ["bar"]
+            )),
+            GeoTextError::InvalidLocation { object: 10 }
+        );
+        assert_eq!(
+            bad(GeoTextObject::from_keywords(
+                11u64,
+                Point::new(10.0, 10.0),
+                Vec::<String>::new()
+            )),
+            GeoTextError::EmptyDescription { object: 11 }
+        );
+        assert_eq!(
+            bad(GeoTextObject::from_keywords(
+                12u64,
+                Point::new(f64::NAN, 10.0),
+                ["bar"]
+            )),
+            GeoTextError::InvalidLocation { object: 12 }
+        );
     }
 
     #[test]
     fn cells_intersecting_finds_occupied_cells_only() {
-        let (grid, _) = build_grid();
+        let (grid, _) = build(&make_objects());
         let all = grid.cells_intersecting(&Rect::new(0.0, 0.0, 1000.0, 1000.0));
         assert_eq!(all.len(), 4);
         let corner = grid.cells_intersecting(&Rect::new(0.0, 0.0, 160.0, 90.0));
@@ -602,165 +561,73 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_scores_in_rect_limits_to_region() {
-        let (grid, vocab) = build_grid();
-        let restaurant = vocab.lookup("restaurant").unwrap();
-        let terms = vec![(restaurant, vocab.idf(restaurant))];
-        // Rectangle covering only the two restaurant cells.
-        let acc = grid.accumulate_scores_in_rect(&Rect::new(0.0, 0.0, 200.0, 100.0), &terms);
-        assert_eq!(acc.len(), 2);
-        assert!(acc.contains_key(&ObjectId(0)));
-        assert!(acc.contains_key(&ObjectId(1)));
-        // Whole space: still only restaurant matches, cafe/museum do not appear.
-        let acc_all = grid.accumulate_scores_in_rect(&Rect::new(0.0, 0.0, 1000.0, 1000.0), &terms);
-        assert_eq!(acc_all.len(), 2);
-        assert!(!acc_all.contains_key(&ObjectId(2)));
-    }
-
-    #[test]
-    fn shard_layout_never_changes_scores() {
-        let (reference, vocab) = build_dense(1);
-        let terms = query_terms(&vocab);
-        let rects = [
-            Rect::new(0.0, 0.0, 1000.0, 1000.0),
-            Rect::new(130.0, 40.0, 620.0, 880.0),
-            Rect::new(480.0, 0.0, 520.0, 1000.0), // straddles a shard boundary
-            Rect::new(990.0, 990.0, 2000.0, 2000.0),
-        ];
-        for shards in [2usize, 3, 4, 7, 32] {
-            let (grid, shard_vocab) = build_dense(shards);
-            assert_eq!(
-                query_terms(&shard_vocab),
-                terms,
-                "vocab must not depend on sharding"
-            );
-            assert!(grid.shard_count() >= 2);
-            for rect in &rects {
-                let a = reference.accumulate_scores_in_rect(rect, &terms);
-                let b = grid.accumulate_scores_in_rect(rect, &terms);
-                assert_eq!(a.len(), b.len(), "shards={shards} rect={rect:?}");
-                for ((oa, sa), (ob, sb)) in a.iter().zip(&b) {
-                    assert_eq!(oa, ob);
-                    assert_eq!(sa.to_bits(), sb.to_bits(), "shards={shards} obj={oa:?}");
+    fn run_tables_score_like_equation_two() {
+        let objects = make_objects();
+        let (grid, vocab) = build(&objects);
+        let q = terms(&vocab, &["pizza", "restaurant"]);
+        let got = scores(&grid, CellId { col: 0, row: 0 }, &q);
+        // Query-term order, each sum starting at 0.0.
+        let expect = |o: &GeoTextObject| {
+            let mut sum = 0.0;
+            for &(t, idf) in &q {
+                if let Some(&tf) = o.terms.get(vocab.term(t)) {
+                    sum += idf * (tf_weight(tf) / object_norm(o));
                 }
             }
-        }
+            sum
+        };
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0], (ObjectId(0), expect(&objects[0])));
+        assert_eq!(got[1], (ObjectId(4), expect(&objects[4])));
+        // Non-matching and empty cells emit nothing.
+        assert!(scores(&grid, CellId { col: 4, row: 4 }, &q).is_empty());
+        assert!(scores(&grid, CellId { col: 5, row: 5 }, &q).is_empty());
     }
 
     #[test]
-    fn parallel_scoring_is_bit_identical_to_sequential() {
-        let (grid, vocab) = build_dense(8);
-        let terms = query_terms(&vocab);
-        let rects = [
-            Rect::new(0.0, 0.0, 1000.0, 1000.0),
-            Rect::new(330.0, 150.0, 700.0, 480.0),
-            Rect::new(40.0, 40.0, 60.0, 60.0),   // single shard
-            Rect::new(-10.0, -10.0, -1.0, -1.0), // empty
-        ];
-        for rect in &rects {
-            let sequential = grid.accumulate_scores_in_rect(rect, &terms);
-            for workers in [2usize, 3, 4, 7, 16] {
-                let parallel = grid.accumulate_scores_in_rect_with_workers(rect, &terms, workers);
-                assert_eq!(sequential.len(), parallel.len());
-                for ((oa, sa), (ob, sb)) in sequential.iter().zip(&parallel) {
-                    assert_eq!(oa, ob);
-                    assert_eq!(sa.to_bits(), sb.to_bits(), "workers={workers} obj={oa:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cell_subset_scores_match_the_rect_pass_bit_for_bit() {
-        let (grid, vocab) = build_dense(4);
-        let terms = query_terms(&vocab);
-        let rects = [
-            Rect::new(0.0, 0.0, 1000.0, 1000.0),
-            Rect::new(130.0, 40.0, 620.0, 880.0),
-            Rect::new(40.0, 40.0, 60.0, 60.0),
-        ];
-        for rect in &rects {
-            let by_rect = grid.accumulate_scores_in_rect(rect, &terms);
-            let cells = grid.cells_intersecting(rect);
-            let by_cells = grid.accumulate_scores_in_cells(&cells, &terms);
-            assert_eq!(by_rect.len(), by_cells.len(), "rect={rect:?}");
-            for ((oa, sa), (ob, sb)) in by_rect.iter().zip(&by_cells) {
-                assert_eq!(oa, ob);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "rect={rect:?} obj={oa:?}");
-            }
-        }
-        // Unoccupied or out-of-range ids contribute nothing.
-        let empty = grid.accumulate_scores_in_cells(
-            &[CellId { col: 0, row: 9 }, CellId { col: 999, row: 0 }],
-            &terms,
+    fn interior_cells_hold_only_points_inside_the_rect() {
+        let (grid, _) = build(&make_objects());
+        // A rect on cell edges: the edge columns and rows are excluded.
+        let rect = Rect::new(100.0, 100.0, 500.0, 400.0);
+        assert_eq!(
+            grid.interior_of(&rect),
+            Some(Cover {
+                col_lo: 2,
+                col_hi: 4,
+                row_lo: 2,
+                row_hi: 3
+            })
         );
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn bulk_preinterned_build_matches_sequential_inserts() {
-        let objects = dense_objects();
-        let (sequential, vocab) = build_dense(4);
-        for workers in [1usize, 3, 8] {
-            let mut bulk =
-                GridIndex::new_sharded(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0, 4).unwrap();
-            let inserted = bulk
-                .bulk_insert_preinterned(&vocab, &objects, workers)
-                .unwrap();
-            assert_eq!(inserted, objects.len());
-            assert_eq!(bulk.object_count(), sequential.object_count());
-            assert_eq!(bulk.occupied_cells(), sequential.occupied_cells());
-            for cell_id in sequential.cells_intersecting(&Rect::new(0.0, 0.0, 1000.0, 1000.0)) {
-                let a = sequential.cell(cell_id).unwrap();
-                let b = bulk.cell(cell_id).unwrap();
-                assert_eq!(a.objects, b.objects, "cell {cell_id:?}");
-            }
-            let terms = query_terms(&vocab);
-            let rect = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-            let a = sequential.accumulate_scores_in_rect(&rect, &terms);
-            let b = bulk.accumulate_scores_in_rect(&rect, &terms);
-            assert_eq!(a.len(), b.len());
-            for ((oa, sa), (ob, sb)) in a.iter().zip(&b) {
-                assert_eq!(oa, ob);
-                assert_eq!(sa.to_bits(), sb.to_bits());
+        // Sides at or beyond the extent bound nothing.
+        let all = Rect::new(-5.0, 0.0, 1000.0, 2000.0);
+        assert_eq!(
+            grid.interior_of(&all),
+            Some(Cover {
+                col_lo: 0,
+                col_hi: 9,
+                row_lo: 0,
+                row_hi: 9
+            })
+        );
+        assert_eq!(
+            grid.interior_of(&Rect::new(110.0, 110.0, 190.0, 190.0)),
+            None
+        );
+        assert_eq!(
+            grid.interior_of(&Rect::new(2000.0, 0.0, 3000.0, 50.0)),
+            None
+        );
+        // Every sampled point bucketed into an interior cell is inside.
+        for rect in [rect, Rect::new(33.3, 71.7, 777.7, 912.1)] {
+            let interior = grid.interior_of(&rect).unwrap();
+            for i in 0..=400 {
+                for j in 0..=400 {
+                    let p = Point::new(i as f64 * 2.5, j as f64 * 2.5);
+                    if interior.contains(grid.cell_of(&p).unwrap()) {
+                        assert!(rect.contains(&p), "{p:?} in {rect:?}");
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn bulk_insert_rejects_invalid_objects_without_mutating() {
-        let vocab = Vocabulary::new();
-        let mut grid = GridIndex::new(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0).unwrap();
-        let bad = vec![GeoTextObject::from_keywords(
-            7u64,
-            Point::new(5000.0, 0.0),
-            ["bar"],
-        )];
-        assert!(matches!(
-            grid.bulk_insert_preinterned(&vocab, &bad, 4),
-            Err(GeoTextError::InvalidLocation { object: 7 })
-        ));
-        assert_eq!(grid.object_count(), 0);
-        assert_eq!(grid.occupied_cells(), 0);
-    }
-
-    #[test]
-    fn shard_bands_partition_the_columns() {
-        let grid = GridIndex::new_sharded(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0, 4).unwrap();
-        assert_eq!(grid.shard_count(), 4);
-        let mut prev = None;
-        for col in 0..grid.dimensions().0 {
-            let s = grid.shard_of_col(col);
-            assert!(col >= grid.shard_col_lo(s) && col <= grid.shard_col_hi(s));
-            if let Some(p) = prev {
-                assert!(s == p || s == p + 1, "shard map must be monotone");
-            }
-            prev = Some(s);
-        }
-        assert_eq!(grid.shard_of_col(0), 0);
-        assert_eq!(grid.shard_of_col(grid.dimensions().0 - 1), 3);
-        // Requesting more shards than columns clamps to one shard per column.
-        let tiny = GridIndex::new_sharded(Rect::new(0.0, 0.0, 300.0, 300.0), 100.0, 64).unwrap();
-        assert_eq!(tiny.shard_count(), 3);
     }
 }

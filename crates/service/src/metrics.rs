@@ -136,7 +136,7 @@ pub struct ServiceMetrics {
     /// Total prepare time across answered queries, nanoseconds.
     pub prepare_ns: AtomicU64,
     /// Grid-scoring component of `prepare_ns` (keyword scoring against the
-    /// sharded grid index), nanoseconds.
+    /// grid index), nanoseconds.
     pub grid_score_ns: AtomicU64,
     /// Graph-build component of `prepare_ns` (`Q.Λ` extraction + scaled CSR
     /// construction), nanoseconds.

@@ -1,20 +1,17 @@
-//! Sharding is a layout detail: property tests that the prepare phase is
-//! **bit-identical** across grid shard counts and prepare worker counts.
+//! Parallel prepare is a scheduling detail: property tests that the prepare
+//! phase is **bit-identical** across prepare worker counts.
 //!
-//! The sharded [`GridIndex`] splits cells into column bands with one lock
-//! each so builds and keyword scoring can fan out; merging per-shard results
-//! in shard order must reconstruct exactly the single-shard answer.  Here a
-//! random object placement is indexed at shard counts 1, 2, 4 and 7 (7 does
-//! not divide the column count, so bands are uneven) and queried with random
-//! rectangles — including rects straddling shard boundaries and rects
-//! containing no node at all — and every derived artefact is compared
-//! bit-for-bit against the single-shard reference:
+//! With more than one worker, keyword scoring splits a query rect's cell
+//! cover into row bands and `RegionView` gathers nodes band by band; the
+//! bands' results are concatenated and sorted, which must reconstruct exactly
+//! the sequential answer.  Here a random object placement is queried with
+//! random rectangles — including rects straddling cell edges and rects
+//! containing no node at all — and every derived artefact at 3 workers is
+//! compared bit-for-bit against 1 worker:
 //!
-//! * the keyword scores (`NodeWeights`: node and object maps, `f64::to_bits`);
+//! * the keyword scores (`NodeWeights`: node and object lists, `f64::to_bits`);
 //! * the prepared [`QueryGraph`]: per-node (global id, weight bits, scaled
-//!   weight) in CSR order plus every edge with its length bits,
-//!
-//! at 1 and 3 prepare workers (3 leaves a remainder band at 4 shards).
+//!   weight) in CSR order plus every edge with its length bits.
 
 use lcmsr::core::engine::LcmsrEngine;
 use lcmsr::core::prelude::{QueryGraph, QueryWorkspace};
@@ -26,7 +23,6 @@ use proptest::prelude::*;
 
 const SIDE: usize = 6;
 const SPACING: f64 = 100.0;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 const KEYWORDS: [&str; 3] = ["restaurant", "cafe", "museum"];
 
 /// A `SIDE × SIDE` grid network with one object per entry of `placements`:
@@ -110,12 +106,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random placements, random rects (shifted off the node lattice so they
-    /// straddle cell and shard boundaries; degenerate spans still have
-    /// positive area but may contain zero nodes): keyword scores and the
-    /// prepared query graph are bit-identical across shard counts 1/2/4/7
-    /// and across 1 vs 3 prepare workers.
+    /// straddle cell edges; degenerate spans still have positive area but may
+    /// contain zero nodes): keyword scores and the prepared query graph are
+    /// bit-identical at 1 and 3 prepare workers.
     #[test]
-    fn prepare_is_bit_identical_across_shard_counts(
+    fn prepare_is_bit_identical_across_worker_counts(
         placements in collection::vec((0usize..SIDE * SIDE, 0usize..KEYWORDS.len()), 1..24),
         rect_cells in collection::vec((0usize..SIDE, 0usize..SIDE, 0usize..SIDE, 0usize..SIDE), 1..5),
         shift_third in 0usize..3,
@@ -124,14 +119,13 @@ proptest! {
         let (network, objects) = grid_world(&placements);
         // The shift places rect borders on nodes (0), between nodes (half a
         // block) or just past nodes (a tenth of a block) — the latter two
-        // straddle grid-cell and shard-column boundaries.
+        // straddle grid-cell boundaries.
         let shift = [0.0, SPACING / 2.0, SPACING / 10.0][shift_third];
         let delta = delta_blocks as f64 * SPACING;
 
-        let reference = ObjectCollection::build_sharded(
-            &network, objects.clone(), SPACING / 2.0, 1, 1,
-        ).unwrap();
-        let ref_engine = LcmsrEngine::new(&network, &reference);
+        let collection = ObjectCollection::build(&network, objects, SPACING / 2.0).unwrap();
+        let engine = LcmsrEngine::new(&network, &collection);
+        let q = collection.query_vector(&KEYWORDS);
 
         let mut rects = Vec::new();
         for &(x0, y0, w, h) in &rect_cells {
@@ -147,57 +141,37 @@ proptest! {
         rects.push(Rect::new(110.0, 110.0, 190.0, 190.0));
         rects.push(Rect::new(SIDE as f64 * SPACING + 50.0, 0.0, SIDE as f64 * SPACING + 150.0, 100.0));
 
-        for &shards in &SHARD_COUNTS {
-            // Build the sharded index with a parallel fill (3 workers leaves
-            // an uneven remainder against 2 and 4 shards).
-            let collection = ObjectCollection::build_sharded(
-                &network, objects.clone(), SPACING / 2.0, shards, 3,
-            ).unwrap();
-            prop_assert_eq!(collection.len(), reference.len());
-            prop_assert_eq!(collection.keyword_count(), reference.keyword_count());
-            let engine = LcmsrEngine::new(&network, &collection);
+        for rect in &rects {
+            let reference = collection.node_weights(&q, rect);
+            let mut parallel = NodeWeights::default();
+            collection.node_weights_into_with_workers(&q, rect, &mut parallel, 3);
+            prop_assert_eq!(
+                weights_fingerprint(&parallel),
+                weights_fingerprint(&reference),
+                "scores diverged at 3 workers for {:?}", rect
+            );
 
-            for rect in &rects {
-                prop_assert_eq!(
-                    weights_fingerprint(
-                        &collection.node_weights(&collection.query_vector(&KEYWORDS), rect)
-                    ),
-                    weights_fingerprint(
-                        &reference.node_weights(&reference.query_vector(&KEYWORDS), rect)
-                    ),
-                    "scores diverged at {} shards for {:?}", shards, rect
-                );
-
-                // A rect with no node (or no relevant object) makes prepare
-                // fail; the failure itself must be layout-independent too.
-                let query = LcmsrQuery::new(KEYWORDS, delta, *rect).unwrap();
-                ref_engine.set_prepare_workers(1);
-                let mut ws = QueryWorkspace::new();
-                let expected = match ref_engine.prepare_with(&mut ws, &query, 0.5) {
+            // A rect with no node (or no relevant object) makes prepare
+            // fail; the failure itself must be worker-independent too.
+            let query = LcmsrQuery::new(KEYWORDS, delta, *rect).unwrap();
+            let mut ws = QueryWorkspace::new();
+            let mut prepare = |workers: usize| {
+                engine.set_prepare_workers(workers);
+                match engine.prepare_with(&mut ws, &query, 0.5) {
                     Ok(g) => {
                         let fp = graph_fingerprint(&g);
-                        ref_engine.release(&mut ws, g);
+                        engine.release(&mut ws, g);
                         Ok(fp)
                     }
                     Err(e) => Err(format!("{e:?}")),
-                };
-                for workers in [1usize, 3] {
-                    engine.set_prepare_workers(workers);
-                    let got = match engine.prepare_with(&mut ws, &query, 0.5) {
-                        Ok(g) => {
-                            let fp = graph_fingerprint(&g);
-                            engine.release(&mut ws, g);
-                            Ok(fp)
-                        }
-                        Err(e) => Err(format!("{e:?}")),
-                    };
-                    prop_assert_eq!(
-                        &got, &expected,
-                        "query graph diverged at {} shards / {} workers for {:?}",
-                        shards, workers, rect
-                    );
                 }
-            }
+            };
+            let expected = prepare(1);
+            let got = prepare(3);
+            prop_assert_eq!(
+                &got, &expected,
+                "query graph diverged at 3 workers for {:?}", rect
+            );
         }
     }
 }
