@@ -13,7 +13,6 @@
 use crate::error::{LcmsrError, Result};
 use lcmsr_geotext::collection::NodeWeights;
 use lcmsr_roadnet::edge::EdgeId;
-use lcmsr_roadnet::epoch::EpochMap;
 use lcmsr_roadnet::geo::Point;
 use lcmsr_roadnet::node::NodeId;
 use lcmsr_roadnet::subgraph::RegionView;
@@ -127,8 +126,11 @@ impl QueryGraph {
         self.scaled.extend(self.weights.iter().map(|&w| {
             if theta > 0.0 {
                 // A tiny epsilon guards against 0.4/0.2 = 1.999999… style
-                // floating-point artefacts at exact multiples of θ.
-                (w / theta + 1e-9).floor() as u64
+                // floating-point artefacts at exact multiples of θ.  The
+                // saturating `as u64` truncates toward zero, which is ⌊·⌋ for
+                // every non-negative value and maps negatives and NaN to 0
+                // as `floor() as u64` does, without a libm call per node.
+                (w / theta + 1e-9) as u64
             } else {
                 0
             }
@@ -284,22 +286,18 @@ impl QueryGraph {
 
 /// Reusable workspace for building [`QueryGraph`]s.
 ///
-/// Two things make a fresh `QueryGraph::build` allocation-heavy: the global→
-/// local node-id map (formerly a per-query `HashMap`) and the dozen vectors
-/// backing the graph itself.  The builder keeps both across calls:
-///
-/// * an [`EpochMap`] sized to the touched node-id band of `Q.Λ` maps global
-///   node ids to dense local ids in O(1) per node with O(1) clearing,
-/// * a pooled `QueryGraph` donates its spent vectors to the next build via
-///   [`QueryGraphBuilder::recycle`].
+/// Local ids are the view's own: a node's local id is its position in
+/// [`RegionView::nodes`] (ascending global id), read in O(1) from the view's
+/// membership table through [`RegionView::local_index`], and local edges
+/// follow [`RegionView::edges`] (ascending global id).  The builder keeps
+/// only the vectors backing the graph: a pooled `QueryGraph` donates its
+/// spent vectors to the next build via [`QueryGraphBuilder::recycle`].
 ///
 /// Repeated `build`/`recycle` cycles over the same network therefore allocate
 /// near-zero once the buffers have grown to the workload's high-water mark.
 /// Each worker thread of a batched engine owns one builder.
 #[derive(Debug, Clone, Default)]
 pub struct QueryGraphBuilder {
-    /// Global node index → dense local id for the current build.
-    local: EpochMap,
     /// CSR fill cursors (reused between builds).
     cursor: Vec<u32>,
     /// Recycled graph whose allocations seed the next build.
@@ -315,14 +313,6 @@ impl QueryGraphBuilder {
     /// Returns a spent graph's allocations to the pool for the next build.
     pub fn recycle(&mut self, graph: QueryGraph) {
         self.pool = Some(graph);
-    }
-
-    /// Current size of the global→local scratch table, in entries — after a
-    /// build, the width of the node-id band it touched.  Scale benches use
-    /// this to evidence that prepare memory is bounded by the query rect's
-    /// cell cover rather than the network size.
-    pub fn local_table_len(&self) -> usize {
-        self.local.table_len()
     }
 
     /// Builds a query graph (see [`QueryGraph::build`]), reusing this
@@ -373,29 +363,16 @@ impl QueryGraphBuilder {
         qg.sigma_max = qg.weights.iter().fold(0.0f64, |a, &b| a.max(b));
         qg.delta = delta;
 
-        // Global → dense local ids via the O(1)-clear, lazily-sized scratch
-        // table, rebased at the smallest member id so it spans the touched
-        // node-id *band* of `Q.Λ`'s cell cover — not the id-space prefix, and
-        // never the network.
-        self.local
-            .begin_at(qg.node_ids.first().map_or(0, |id| id.index()));
-        for (i, &id) in qg.node_ids.iter().enumerate() {
-            self.local.insert(id.index(), i as u32);
-        }
-
         // Local edges plus CSR degree counts in one pass.
+        let local = |id: NodeId| {
+            view.local_index(id)
+                .expect("view edge endpoint inside the view") as u32
+        };
         qg.adj_offsets.resize(n + 1, 0);
         qg.edges.reserve(view.edge_count());
         for &eid in view.edges() {
             let e = graph.edge(eid);
-            let a = self
-                .local
-                .get(e.a.index())
-                .expect("view edge endpoint inside the view");
-            let b = self
-                .local
-                .get(e.b.index())
-                .expect("view edge endpoint inside the view");
+            let (a, b) = (local(e.a), local(e.b));
             qg.edges.push(QgEdge {
                 a,
                 b,

@@ -15,6 +15,7 @@ use crate::vsm::QueryVector;
 use lcmsr_roadnet::geo::Rect;
 use lcmsr_roadnet::graph::RoadNetwork;
 use lcmsr_roadnet::node::NodeId;
+use lcmsr_roadnet::order::radix_sort_by_key;
 use std::collections::BTreeMap;
 
 /// Default grid cell size in metres (roughly a city block neighbourhood).
@@ -40,6 +41,8 @@ struct ScoreScratch {
     cell: Vec<f64>,
     /// Objects kept so far; empty between passes.
     hits: Vec<Hit>,
+    /// Scatter buffer of the radix sorts that order `hits`.
+    spare: Vec<Hit>,
 }
 
 /// One object that scored inside the query rectangle.
@@ -257,7 +260,7 @@ impl ObjectCollection {
 
     /// Like [`ObjectCollection::node_weights_into`], scoring row bands of the
     /// rectangle's cell cover on up to `workers` scoped threads.  The bands'
-    /// hits are concatenated and sorted by object id, so the result is
+    /// hits are concatenated and ordered by object id, so the result is
     /// bit-identical to the sequential pass.
     pub fn node_weights_into_with_workers(
         &self,
@@ -317,7 +320,7 @@ impl ObjectCollection {
         terms: &[(TermId, f64)],
         scratch: &mut ScoreScratch,
     ) -> usize {
-        let ScoreScratch { cell, hits } = scratch;
+        let ScoreScratch { cell, hits, .. } = scratch;
         let mut scored = 0;
         for c in cover.cells() {
             if skip.is_some_and(|s| s.contains(c)) {
@@ -478,11 +481,15 @@ fn query_terms(query: &QueryVector) -> Vec<(TermId, f64)> {
 /// Turns a pass's hits into the output lists: objects ascending by id, and
 /// per-node sums added in ascending object-id order (the summation order
 /// that makes repeated and batched runs bit-identical).
+///
+/// Two stable radix passes give both orders without a comparison sort: the
+/// first orders hits by object id, the second by node, which keeps each
+/// node's hits in id order, i.e. `(node, id)` order.
 fn finish(out: &mut NodeWeights) {
-    let hits = &mut out.scratch.hits;
-    hits.sort_unstable_by_key(|h| h.id);
+    let ScoreScratch { hits, spare, .. } = &mut out.scratch;
+    radix_sort_by_key(hits, spare, |h| h.id.0);
     out.by_object.extend(hits.iter().map(|h| (h.id, h.score)));
-    hits.sort_unstable_by_key(|h| (h.node, h.id));
+    radix_sort_by_key(hits, spare, |h| u64::from(h.node.0));
     for h in hits.drain(..) {
         match out.by_node.last_mut() {
             Some((node, sum)) if *node == h.node => *sum += h.score,

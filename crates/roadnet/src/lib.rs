@@ -10,6 +10,7 @@
 //! * [`builder::GraphBuilder`] — incremental construction with validation,
 //! * [`geo`] — planar geometry, rectangles (`Q.Λ`), WGS84→UTM projection,
 //! * [`subgraph::RegionView`] — the subgraph induced by a query rectangle,
+//! * [`order`] — id-band bitmap and radix sort that order prepare-path keys,
 //! * [`traversal`] — BFS/DFS/Dijkstra/MST used by the algorithms and baselines,
 //! * [`dimacs`] — reader for the DIMACS challenge-9 files the paper's New York
 //!   and USA networks are distributed in,
@@ -42,6 +43,7 @@ pub mod generator;
 pub mod geo;
 pub mod graph;
 pub mod node;
+pub mod order;
 pub mod spatial;
 pub mod subgraph;
 pub mod traversal;

@@ -2,22 +2,29 @@
 //!
 //! An LCMSR query restricts processing to the rectangular region of interest
 //! `Q.Λ`.  [`RegionView`] captures the nodes of the network inside such a
-//! rectangle together with the induced edges, and exposes the restricted
-//! adjacency that all LCMSR algorithms operate on.
+//! rectangle together with the induced edges, both in ascending id order,
+//! and maps each member node to its dense local id.
+//!
+//! Extraction never runs a comparison sort.  Member nodes come from the
+//! node grid's cell cover and induced edges from member adjacency, and each
+//! list is put in id order by an [`IdBand`] bitmap over its id band
+//! `[min, max]`, one bit per id of the band — 1/64 of what the membership
+//! table already spends on each id of the node band.
 
 use crate::edge::EdgeId;
 use crate::epoch::EpochMap;
 use crate::geo::Rect;
 use crate::graph::RoadNetwork;
 use crate::node::NodeId;
+use crate::order::IdBand;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Reusable scratch buffers for building [`RegionView`]s.
 ///
-/// Extracting `Q.Λ` allocates a node list, an edge list and a node→local-id
-/// table sized to the whole network.  A long-lived scratch lets successive
-/// queries over the same network reuse all three:
+/// Extracting `Q.Λ` allocates a node list, an edge list, a node→local-id
+/// table and the id-band bitmap that orders both lists.  A long-lived
+/// scratch lets successive queries over the same network reuse all four:
 /// [`RegionView::new_reusing`] takes the buffers out of the scratch and
 /// [`RegionView::recycle`] puts them back, so a steady stream of views
 /// performs no per-query allocation once the buffers have grown to size.
@@ -26,6 +33,7 @@ pub struct RegionScratch {
     members: EpochMap,
     nodes: Vec<NodeId>,
     edges: Vec<EdgeId>,
+    band: IdBand,
 }
 
 impl RegionScratch {
@@ -76,16 +84,15 @@ impl<'g> RegionView<'g> {
 
     /// Like [`RegionView::new_reusing`], fanning candidate gathering and edge
     /// induction out over `workers` scoped threads.  The output is
-    /// **bit-identical** to the sequential path for any worker count: band
-    /// results are merged in row order and both node and edge lists are
-    /// sorted by id before use, so thread scheduling cannot leak into the
-    /// view (golden suites pin this).
+    /// **bit-identical** to the sequential path for any worker count: the
+    /// merged node and edge lists are each put in id order by the same
+    /// [`IdBand`] pass, so thread scheduling cannot leak into the view
+    /// (golden suites pin this).
     ///
     /// Cost is proportional to the rectangle's grid cell cover, not to the
     /// network: nodes are gathered from [`crate::spatial::NodeGrid`] buckets,
-    /// induced edges from member adjacency, and the membership table is
-    /// epoch-rebased at the smallest member id so it spans the touched id
-    /// band only.
+    /// induced edges from member adjacency, and both the membership table and
+    /// the ordering bitmap span the touched id band only.
     pub fn new_reusing_with_workers(
         graph: &'g RoadNetwork,
         rect: Rect,
@@ -134,10 +141,9 @@ impl<'g> RegionView<'g> {
                 graph.node_grid().candidates_in_cover(&cover, &mut nodes);
                 nodes.retain(|&id| rect.contains(&graph.point(id)));
             }
-            // Grid buckets are keyed by cell, so the concatenation is not id
-            // sorted; one sort restores the view invariant (ids are unique —
-            // every node lives in exactly one cell).
-            nodes.sort_unstable();
+            // Grid buckets are keyed by cell, so the concatenation is not in
+            // id order (ids are unique: every node lives in exactly one cell).
+            scratch.band.sort_dedup(&mut nodes, |id| id.0);
         }
 
         // Membership table rebased at the smallest member id: its size tracks
@@ -191,9 +197,9 @@ impl<'g> RegionView<'g> {
         } else {
             gather_edges(&nodes, &mut edges);
         }
-        // Adjacency order is per-endpoint, not global: sort restores the
-        // edge-id order the old whole-network filter produced.
-        edges.sort_unstable();
+        // Adjacency order is per-endpoint, not global (each edge is pushed
+        // once, from its smaller endpoint, so ids are unique).
+        scratch.band.sort_dedup(&mut edges, |id| id.0);
 
         RegionView {
             graph,
@@ -266,72 +272,10 @@ impl<'g> RegionView<'g> {
         self.members.get(node.index()).map(|i| i as usize)
     }
 
-    /// Neighbours of `node` restricted to the view, as `(neighbour, edge)` pairs.
-    pub fn neighbors(&self, node: NodeId) -> Vec<(NodeId, EdgeId)> {
-        if !self.contains(node) {
-            return Vec::new();
-        }
-        self.graph
-            .neighbors(node)
-            .iter()
-            .copied()
-            .filter(|(n, _)| self.contains(*n))
-            .collect()
-    }
-
     /// Length of an edge (delegates to the parent network).
     #[inline]
     pub fn length(&self, edge: EdgeId) -> f64 {
         self.graph.length(edge)
-    }
-
-    /// Minimum edge length inside the view (`d_min`), or `None` if edgeless.
-    pub fn min_edge_length(&self) -> Option<f64> {
-        self.edges
-            .iter()
-            .map(|&e| self.graph.length(e))
-            .fold(None, |acc, l| match acc {
-                None => Some(l),
-                Some(m) => Some(m.min(l)),
-            })
-    }
-
-    /// Maximum edge length inside the view (`τ_max` used by Greedy), or `None`.
-    pub fn max_edge_length(&self) -> Option<f64> {
-        self.edges
-            .iter()
-            .map(|&e| self.graph.length(e))
-            .fold(None, |acc, l| match acc {
-                None => Some(l),
-                Some(m) => Some(m.max(l)),
-            })
-    }
-
-    /// Connected components of the view, largest first.
-    pub fn components(&self) -> Vec<Vec<NodeId>> {
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut comps = Vec::new();
-        for &start in &self.nodes {
-            if seen[start.index()] {
-                continue;
-            }
-            let mut comp = Vec::new();
-            let mut q = VecDeque::new();
-            seen[start.index()] = true;
-            q.push_back(start);
-            while let Some(v) = q.pop_front() {
-                comp.push(v);
-                for (n, _) in self.neighbors(v) {
-                    if !seen[n.index()] {
-                        seen[n.index()] = true;
-                        q.push_back(n);
-                    }
-                }
-            }
-            comps.push(comp);
-        }
-        comps.sort_by_key(|c| std::cmp::Reverse(c.len()));
-        comps
     }
 
     /// Checks whether the given node set is connected within the view using
@@ -524,39 +468,14 @@ mod tests {
         assert_eq!(v.edge_count(), 4);
         assert!(v.contains(NodeId(0)));
         assert!(!v.contains(NodeId(15)));
-        assert_eq!(v.neighbors(NodeId(0)).len(), 2);
-        assert!(v.neighbors(NodeId(15)).is_empty());
     }
 
     #[test]
     fn view_edge_lengths_delegate_to_graph() {
         let g = grid4();
         let v = RegionView::whole(&g);
-        assert_eq!(v.min_edge_length(), Some(1.0));
-        assert_eq!(v.max_edge_length(), Some(1.0));
         let e = v.edges()[0];
         assert_eq!(v.length(e), 1.0);
-    }
-
-    #[test]
-    fn empty_view_has_no_components() {
-        let g = grid4();
-        let v = RegionView::new(&g, Rect::new(100.0, 100.0, 101.0, 101.0));
-        assert_eq!(v.node_count(), 0);
-        assert!(v.components().is_empty());
-        assert!(v.min_edge_length().is_none());
-    }
-
-    #[test]
-    fn components_split_by_rectangle() {
-        let g = grid4();
-        // A thin rectangle containing only rows y=0 and y=3 → two components.
-        let v = RegionView::new(&g, Rect::new(-0.5, -0.5, 3.5, 0.5));
-        assert_eq!(v.components().len(), 1);
-        // Two disjoint columns: x=0 and x=3 cannot both be selected by a single
-        // rectangle, so instead check that a full view is a single component.
-        let whole = RegionView::whole(&g);
-        assert_eq!(whole.components().len(), 1);
     }
 
     #[test]
